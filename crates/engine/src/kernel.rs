@@ -25,7 +25,12 @@
 //!    `|Q|`-length scratch vector in the loop, no per-activation
 //!    allocation, no `DynGraph` pointer chasing. Very long rows fall
 //!    back to the dense scratch tally, where one O(len) scatter beats
-//!    an O(len log len) sort.
+//!    an O(len log len) sort. A protocol that declares a
+//!    [`SupportFold`](crate::SupportFold) skips all of that: its
+//!    idempotent join makes order and multiplicity irrelevant, so the
+//!    gathered row is folded as it lies in the arena, for every row
+//!    length (debug builds still compute the sorted `transition` and
+//!    assert the two agree).
 //!
 //! Both plans read neighbour states from a [`PackedStates`] mirror — a
 //! 4/8/16/32-bit index array chosen from `|Q|` — so the inner gather
@@ -44,13 +49,23 @@
 //! not (that is the point) and [`crate::network::Metrics`] documents the
 //! difference.
 //!
+//! A round evaluates its dirty nodes in ascending id order. The set is a
+//! bitset (one bit per node id) plus a worklist of the marked ids in mark
+//! order, so its size is O(1) to read and a round drains whichever form
+//! is cheaper: a dense frontier — at least one id per `DENSE_DRAIN = 8`
+//! bitset words — is read off the bitset with `trailing_zeros`, already
+//! ascending and with no sort, while a sparse one sorts its short
+//! worklist. The sparse path is not optional: a churn stream runs ~10⁵
+//! rounds of ~2 activations each, and scanning all `n/64` words every
+//! one of those rounds made it 2x slower.
+//!
 //! On top of both sits the **sharded round** (`parallel` feature): node
 //! ids are split into contiguous, degree-weighted shards
 //! ([`fssga_graph::Partition`]), each shard evaluates into its own
 //! arena (pending buffer, scratch vector, counters — no contention on
 //! any global structure), and the committing thread concatenates arenas
 //! in ascending shard order. Because shards are contiguous and the
-//! worklist is sorted, that concatenation *is* the sequential
+//! drained dirty set is ascending, that concatenation *is* the sequential
 //! evaluation order, and coins come from
 //! [`round_coin`]`(round_seed, v, r)` — never from thread interleaving —
 //! so results are bit-identical to the sequential kernel for any thread
@@ -110,6 +125,20 @@ const SMALL_SORT: usize = 32;
 /// O(len log len) sort once a hub row is big enough.
 const DENSE_MIN: usize = 128;
 
+/// A round's dirty set drains by scanning its bitset when the worklist
+/// holds at least one id per `DENSE_DRAIN` bitset words, and by sorting
+/// the worklist otherwise (see [`DirtySet::drain`]).
+///
+/// Cost derivation: the scan visits every word once — a sequential load
+/// and store, about a nanosecond — plus one `trailing_zeros` step per id,
+/// so it costs `words + len`. `sort_unstable` costs about `len · log₂ len`
+/// comparisons, each data-dependent and several times dearer than a word
+/// visit. Any frontier worth the question has `log₂ len >= 8`, so at
+/// `words <= 8 · len` the scan is never the dearer one. Below the
+/// threshold the sort's cost is independent of `n`, which is what keeps
+/// thin frontiers (churn rounds) cheap; see the module docs.
+const DENSE_DRAIN: usize = 8;
+
 /// Which evaluation plan a [`CompiledKernel`] ended up with.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum KernelPlan {
@@ -151,6 +180,119 @@ struct EvalStats {
     tabular: u64,
     /// Evaluations dispatched through a native `transition` call.
     direct: u64,
+}
+
+/// The dirty-set scheduler's set: one bit per node id, plus the marked
+/// ids in mark order. Between steps `worklist` holds exactly the set
+/// bits, each once, so its length is the set's size in O(1) and a round
+/// can drain whichever representation is cheaper.
+#[derive(Default)]
+struct DirtySet {
+    bits: Vec<u64>,
+    worklist: Vec<NodeId>,
+}
+
+impl DirtySet {
+    /// Every id in `0..n` marked.
+    fn full(n: usize) -> Self {
+        let mut set = Self::default();
+        set.fill(n);
+        set
+    }
+
+    fn len(&self) -> usize {
+        self.worklist.len()
+    }
+
+    #[inline]
+    fn insert(&mut self, v: NodeId) {
+        let (word, bit) = ((v >> 6) as usize, 1u64 << (v & 63));
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.worklist.push(v);
+        }
+    }
+
+    /// Marks every id in `0..n` (and nothing beyond it).
+    fn fill(&mut self, n: usize) {
+        self.bits.clear();
+        self.bits.resize(n / 64, u64::MAX);
+        if !n.is_multiple_of(64) {
+            self.bits.push((1u64 << (n % 64)) - 1);
+        }
+        self.worklist.clear();
+        self.worklist.extend(0..n as NodeId);
+    }
+
+    /// Makes room for ids `0..n`; new ids start clean.
+    fn grow(&mut self, n: usize) {
+        self.bits.resize(n.div_ceil(64), 0);
+    }
+
+    /// Empties the set and returns its ids in ascending order. The
+    /// returned buffer is the worklist's own allocation; hand it back
+    /// with [`Self::recycle`] once the round has evaluated it.
+    ///
+    /// A dense frontier (see [`DENSE_DRAIN`]) is read off the bitset word
+    /// by word, which yields ascending ids without a sort. A sparse one
+    /// sorts the short worklist and zeroes the words of its ids — whole
+    /// words, which is sound because the worklist holds every set bit.
+    fn drain(&mut self) -> Vec<NodeId> {
+        self.debug_check();
+        if self.worklist.len() * DENSE_DRAIN >= self.bits.len() {
+            self.drain_scan()
+        } else {
+            self.drain_sorted()
+        }
+    }
+
+    fn drain_scan(&mut self) -> Vec<NodeId> {
+        let mut work = std::mem::take(&mut self.worklist);
+        work.clear();
+        for (i, word) in self.bits.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                work.push(((i as NodeId) << 6) | w.trailing_zeros());
+                w &= w - 1;
+            }
+        }
+        work
+    }
+
+    fn drain_sorted(&mut self) -> Vec<NodeId> {
+        let mut work = std::mem::take(&mut self.worklist);
+        work.sort_unstable();
+        for &v in &work {
+            self.bits[(v >> 6) as usize] = 0;
+        }
+        work
+    }
+
+    /// Returns a drained buffer (cleared) so later marks reuse it.
+    fn recycle(&mut self, mut work: Vec<NodeId>) {
+        debug_assert!(self.worklist.is_empty(), "marked while drained");
+        work.clear();
+        self.worklist = work;
+    }
+
+    /// Round-boundary invariant (debug builds only): the bitset's
+    /// popcount equals the worklist length and every worklist id's bit is
+    /// set — each id once, which the cleared copy below detects.
+    fn debug_check(&self) {
+        if cfg!(debug_assertions) {
+            let popcount: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(popcount, self.worklist.len(), "dirty bits != worklist");
+            let mut unseen = self.bits.clone();
+            for &v in &self.worklist {
+                let (word, bit) = ((v >> 6) as usize, 1u64 << (v & 63));
+                assert!(
+                    unseen[word] & bit != 0,
+                    "worklist id {v} unmarked or repeated"
+                );
+                unseen[word] &= !bit;
+            }
+        }
+    }
 }
 
 /// Dense tables for the tabular plan.
@@ -208,8 +350,8 @@ enum PlanRef<'a> {
 }
 
 /// One shard's private evaluation workspace. Shards write *only* here
-/// during the parallel phase — the global worklist, pending buffer, and
-/// dirty flags are touched exclusively by the committing thread.
+/// during the parallel phase — the global dirty set and pending buffer
+/// are touched exclusively by the committing thread.
 #[cfg(feature = "parallel")]
 struct ShardArena<P: Protocol> {
     /// This shard's proposed `(node, new state)` writes, in node order.
@@ -260,9 +402,8 @@ pub struct CompiledKernel<P: Protocol> {
     alive: Vec<bool>,
     /// Whether the dirty-set scheduler is sound (deterministic protocol).
     use_dirty: bool,
-    dirty: Vec<bool>,
-    /// Exactly the nodes with `dirty[v]` set, between steps.
-    worklist: Vec<NodeId>,
+    /// Nodes scheduled for the next round (unused without `use_dirty`).
+    dirty: DirtySet,
     /// Two-phase commit buffer: `(node, new state)` for this round's
     /// changes only, so sparse late rounds do O(changes), not O(n).
     pending: Vec<(NodeId, P::State)>,
@@ -323,6 +464,12 @@ impl<P: Protocol> CompiledKernel<P> {
              (RANDOMNESS = {} > 1): skipped nodes would miss fresh coin draws",
             P::RANDOMNESS
         );
+        assert!(
+            P::FOLD.is_none() || deterministic,
+            "a support fold is declared on a probabilistic protocol \
+             (RANDOMNESS = {} > 1): the fold ignores the coin",
+            P::RANDOMNESS
+        );
         let plan = match build_tables::<P>(net.protocol()) {
             Some(t) => Plan::Tabular(t),
             None => Plan::Direct,
@@ -335,8 +482,7 @@ impl<P: Protocol> CompiledKernel<P> {
             dead_space: 0,
             alive,
             use_dirty,
-            dirty: vec![true; n],
-            worklist: (0..n as NodeId).collect(),
+            dirty: DirtySet::full(n),
             pending: Vec::new(),
             eligible,
             plan,
@@ -374,7 +520,7 @@ impl<P: Protocol> CompiledKernel<P> {
     /// probabilistic protocols).
     pub fn dirty_count(&self) -> usize {
         if self.use_dirty {
-            self.worklist.len()
+            self.dirty.len()
         } else {
             self.alive.iter().filter(|&&a| a).count()
         }
@@ -382,9 +528,8 @@ impl<P: Protocol> CompiledKernel<P> {
 
     #[inline]
     fn mark_dirty(&mut self, v: NodeId) {
-        if self.use_dirty && !self.dirty[v as usize] {
-            self.dirty[v as usize] = true;
-            self.worklist.push(v);
+        if self.use_dirty {
+            self.dirty.insert(v);
         }
     }
 
@@ -399,9 +544,7 @@ impl<P: Protocol> CompiledKernel<P> {
         if !self.use_dirty {
             return;
         }
-        self.dirty.iter_mut().for_each(|d| *d = true);
-        self.worklist.clear();
-        self.worklist.extend(0..self.dirty.len() as NodeId);
+        self.dirty.fill(self.row_len.len());
     }
 
     /// Removes `target` from `v`'s CSR row, if present. Returns whether a
@@ -504,7 +647,7 @@ impl<P: Protocol> CompiledKernel<P> {
         self.row_len.push(0);
         self.row_cap.push(0);
         self.alive.push(true);
-        self.dirty.push(false);
+        self.dirty.grow(vi + 1);
         self.packed.push(state.index() as u32);
         // Degree 0: not eligible, nothing to schedule until an edge
         // arrives and on_edge_added marks it dirty.
@@ -748,21 +891,15 @@ impl<P: Protocol> CompiledKernel<P> {
         self.refresh_packed(states);
         self.pending.clear();
         let (stats, scheduled) = if self.use_dirty {
-            let mut work = std::mem::take(&mut self.worklist);
-            work.sort_unstable();
-            for &v in &work {
-                self.dirty[v as usize] = false;
-            }
-            let scheduled = work.len() as u64;
+            let work = self.dirty.drain();
             let stats = if trace {
                 self.eval_nodes::<true>(protocol, states, work.iter().copied(), round_seed)
             } else {
                 self.eval_nodes::<false>(protocol, states, work.iter().copied(), round_seed)
             };
-            work.clear();
-            // Hand the buffer back so commit() pushes into it.
-            debug_assert!(self.worklist.is_empty());
-            self.worklist = work;
+            let scheduled = work.len() as u64;
+            // Hand the buffer back so commit() marks into it.
+            self.dirty.recycle(work);
             (stats, scheduled)
         } else {
             let n = self.row_len.len();
@@ -859,7 +996,7 @@ impl<P: Protocol> CompiledKernel<P> {
     }
 }
 
-/// Splits a sorted worklist into per-shard subslices along the
+/// Splits an ascending worklist into per-shard subslices along the
 /// partition's boundaries. Zero-copy: shard `k` gets exactly the work
 /// items whose ids fall in `partition.range(k)`, and concatenating the
 /// slices in shard order reproduces `work` verbatim.
@@ -878,8 +1015,9 @@ fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a 
     out
 }
 
-/// This round's work, per shard: either subslices of the sorted dirty
-/// worklist, or (for full re-evaluation) the partition's id ranges.
+/// This round's work, per shard: either subslices of the drained
+/// (ascending) dirty set, or (for full re-evaluation) the partition's id
+/// ranges.
 #[cfg(feature = "parallel")]
 enum ShardWork<'a> {
     Slices(Vec<&'a [NodeId]>),
@@ -985,7 +1123,7 @@ where
 
     /// Like [`Self::step`], but evaluates the round's worklist sharded
     /// over `pool`. Bit-identical to the sequential step for any thread
-    /// count: shards are contiguous id ranges of the sorted worklist,
+    /// count: shards are contiguous id ranges of the ascending worklist,
     /// coins derive from `(round_seed, v)`, and per-shard updates are
     /// committed in ascending shard order (= node order).
     pub fn step_sharded(
@@ -1029,16 +1167,7 @@ where
         self.refresh_packed(states);
         self.pending.clear();
         // Gather this round's work exactly as the sequential step does.
-        let work: Option<Vec<NodeId>> = if self.use_dirty {
-            let mut w = std::mem::take(&mut self.worklist);
-            w.sort_unstable();
-            for &v in &w {
-                self.dirty[v as usize] = false;
-            }
-            Some(w)
-        } else {
-            None
-        };
+        let work = self.use_dirty.then(|| self.dirty.drain());
         let scheduled = work.as_ref().map_or(self.eligible, |w| w.len() as u64);
         let work_len = work.as_ref().map_or(self.row_len.len(), |w| w.len());
 
@@ -1107,8 +1236,8 @@ where
             }
             let per_slice: Vec<u64> = (0..shards).map(|k| split.len_of(k)).collect();
             drop(split);
-            // Merge in ascending shard order: contiguous shards over a
-            // sorted worklist concatenate to the sequential order.
+            // Merge in ascending shard order: contiguous shards over an
+            // ascending worklist concatenate to the sequential order.
             let sharding = self.sharding.as_mut().expect("just ensured");
             let mut stats = EvalStats::default();
             for (k, arena) in sharding.arenas.iter_mut().enumerate() {
@@ -1132,10 +1261,8 @@ where
             }
             stats
         };
-        if let Some(mut w) = work {
-            w.clear();
-            debug_assert!(self.worklist.is_empty());
-            self.worklist = w;
+        if let Some(w) = work {
+            self.dirty.recycle(w);
         }
         let changed = self.commit(states, metrics, stats.evaluated);
         if trace {
@@ -1182,6 +1309,67 @@ fn insertion_sort(a: &mut [u32]) {
     }
 }
 
+/// `transition(own, μ, coin)` for the multiset `μ` gathered in
+/// `bufs.row` (reordered in place). Short rows are sorted and
+/// run-length-encoded into a sparse [`NeighborView`]; ascending indices
+/// are the canonical `present_states` order (identical to the interpreter
+/// and to a from-scratch build, however incremental surgery permuted the
+/// arena row). Hub rows tally into the dense scratch vector instead: one
+/// O(len) scatter beats an O(len log len) sort.
+#[inline]
+fn transition_of_row<P: Protocol>(
+    protocol: &P,
+    own: P::State,
+    coin: u32,
+    bufs: &mut EvalBufs,
+) -> P::State {
+    let len = bufs.row.len();
+    if len <= DENSE_MIN {
+        if len <= SMALL_SORT {
+            insertion_sort(&mut bufs.row);
+        } else {
+            bufs.row.sort_unstable();
+        }
+        bufs.idx.clear();
+        bufs.cnt.clear();
+        let mut i = 0;
+        while i < len {
+            let s = bufs.row[i];
+            let mut j = i + 1;
+            while j < len && bufs.row[j] == s {
+                j += 1;
+            }
+            bufs.idx.push(s);
+            bufs.cnt.push((j - i) as u32);
+            i = j;
+        }
+        let view: NeighborView<'_, P::State> = NeighborView::new_sparse(&bufs.idx, &bufs.cnt, None);
+        protocol.transition(own, &view, coin)
+    } else {
+        // Allocated lazily — most protocols and graphs never get here.
+        if bufs.scratch.len() < P::State::COUNT {
+            bufs.scratch.resize(P::State::COUNT, 0);
+        }
+        for &s in &bufs.row {
+            if bufs.scratch[s as usize] == 0 {
+                bufs.touched.push(s);
+            }
+            bufs.scratch[s as usize] += 1;
+        }
+        bufs.touched.sort_unstable();
+        let new = {
+            let view: NeighborView<'_, P::State> =
+                NeighborView::new_with_presence(&bufs.scratch, Some(&bufs.touched), None);
+            protocol.transition(own, &view, coin)
+        };
+        for &s in bufs.touched.iter() {
+            bufs.scratch[s as usize] = 0;
+        }
+        bufs.touched.clear();
+        new
+    }
+}
+
 /// The shared inner loop: evaluates `nodes` over frozen `states` (whose
 /// packed mirror is `packed`), appending `(node, new state)` for changed
 /// nodes to `out`. `bufs` is the evaluator's private workspace
@@ -1194,11 +1382,12 @@ fn insertion_sort(a: &mut [u32]) {
 /// state indices into one contiguous buffer (a width dispatch per row,
 /// then a tight widening loop the compiler vectorizes), then reduce the
 /// buffer — a tiny per-state histogram mapped through [`class_of`] for
-/// the tabular plan, or sort + run-length encoding into a sparse
-/// [`NeighborView`] for the direct plan. Regrouping the SM reduction
-/// this way is faithful by symmetry (the transition depends only on the
-/// multiset), so results are bit-identical to the one-neighbour-at-a-
-/// time fold this replaced.
+/// the tabular plan; for the direct plan, the declared support fold
+/// straight over the buffer, else [`transition_of_row`]'s sort +
+/// run-length encoding into a sparse [`NeighborView`]. Regrouping the
+/// SM reduction this way is faithful by symmetry (the transition depends
+/// only on the multiset — for a fold, only on its support), so results
+/// are bit-identical to the one-neighbour-at-a-time fold this replaced.
 #[allow(clippy::too_many_arguments)]
 fn eval_chunk<P: Protocol, const TRACE: bool>(
     protocol: &P,
@@ -1271,59 +1460,20 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 packed.gather(&csr.targets[start..start + len], &mut bufs.row);
                 let old = states[vi];
                 let coin = round_coin(round_seed, v, P::RANDOMNESS);
-                let new = if len <= DENSE_MIN {
-                    // Sort + run-length encode: ascending indices are the
-                    // canonical `present_states` order (identical to the
-                    // interpreter and to a from-scratch build, however
-                    // incremental surgery permuted the arena row).
-                    if len <= SMALL_SORT {
-                        insertion_sort(&mut bufs.row);
-                    } else {
-                        bufs.row.sort_unstable();
-                    }
-                    bufs.idx.clear();
-                    bufs.cnt.clear();
-                    let mut i = 0;
-                    while i < len {
-                        let s = bufs.row[i];
-                        let mut j = i + 1;
-                        while j < len && bufs.row[j] == s {
-                            j += 1;
-                        }
-                        bufs.idx.push(s);
-                        bufs.cnt.push((j - i) as u32);
-                        i = j;
-                    }
-                    let view: NeighborView<'_, P::State> =
-                        NeighborView::new_sparse(&bufs.idx, &bufs.cnt, None);
-                    protocol.transition(old, &view, coin)
-                } else {
-                    // Hub rows: one O(len) scatter into the dense tally
-                    // beats sorting. Allocated lazily — most protocols
-                    // and graphs never take this branch.
-                    if bufs.scratch.len() < P::State::COUNT {
-                        bufs.scratch.resize(P::State::COUNT, 0);
-                    }
-                    for &s in &bufs.row {
-                        if bufs.scratch[s as usize] == 0 {
-                            bufs.touched.push(s);
-                        }
-                        bufs.scratch[s as usize] += 1;
-                    }
-                    bufs.touched.sort_unstable();
-                    let new = {
-                        let view: NeighborView<'_, P::State> = NeighborView::new_with_presence(
-                            &bufs.scratch,
-                            Some(&bufs.touched),
-                            None,
+                let new = match P::FOLD {
+                    // The fold law makes arena order and duplicates
+                    // irrelevant: fold the gathered row as it lies.
+                    Some(fold) => {
+                        let row = bufs.row.iter().map(|&s| P::State::from_index(s as usize));
+                        let new = fold.apply(old, row);
+                        debug_assert_eq!(
+                            new,
+                            transition_of_row(protocol, old, coin, bufs),
+                            "declared fold disagrees with transition at node {v}"
                         );
-                        protocol.transition(old, &view, coin)
-                    };
-                    for &s in bufs.touched.iter() {
-                        bufs.scratch[s as usize] = 0;
+                        new
                     }
-                    bufs.touched.clear();
-                    new
+                    None => transition_of_row(protocol, old, coin, bufs),
                 };
                 evaluated += 1;
                 if TRACE {
@@ -1755,6 +1905,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "support fold is declared on a probabilistic protocol")]
+    fn fold_on_probabilistic_protocol_panics() {
+        struct CoinyFold;
+        impl Protocol for CoinyFold {
+            type State = Infect;
+            const RANDOMNESS: u32 = 2;
+            const FOLD: Option<crate::SupportFold<Infect>> = Some(crate::SupportFold {
+                join: |a, _| a,
+                finish: |own, _| own,
+            });
+            fn transition(&self, own: Infect, _n: &NeighborView<'_, Infect>, _c: u32) -> Infect {
+                own
+            }
+        }
+        let g = generators::cycle(4);
+        let net = Network::new(&g, CoinyFold, |_| Infect::Healthy);
+        // Even with the dirty set off, the fold would ignore the coin.
+        let _ = CompiledKernel::with_schedule(&net, DirtySchedule::Disabled);
+    }
+
+    #[test]
     fn randomized_protocol_is_never_dirty_scheduled() {
         use crate::obs::RoundLog;
         let g = generators::cycle(6);
@@ -1888,6 +2059,117 @@ mod tests {
             assert_eq!(ci, cr, "round {round} change counts");
             assert_eq!(inc.states(), rebuilt.states(), "round {round} states");
         }
+    }
+
+    /// Marks `marks` into a fresh clean set over `0..n`, checking the O(1)
+    /// size against the distinct marks after every insertion.
+    fn marked(n: usize, marks: &[NodeId]) -> DirtySet {
+        let mut set = DirtySet::full(n);
+        let all = set.drain();
+        set.recycle(all);
+        let mut distinct = std::collections::BTreeSet::new();
+        for &v in marks {
+            set.insert(v);
+            distinct.insert(v);
+            assert_eq!(set.len(), distinct.len(), "size after marking {v}");
+        }
+        set
+    }
+
+    #[test]
+    fn dirty_drain_branches_agree() {
+        let mut rng = Xoshiro256::seed_from_u64(0xd1a7);
+        let (mut dense, mut sparse) = (0, 0);
+        for trial in 0..300 {
+            // Never a multiple of 64, so the last word is always partial.
+            let n = 64 * rng.gen_range(300) as usize + 1 + rng.gen_range(63) as usize;
+            let words = n.div_ceil(64);
+            // Half the trials draw a frontier below the density threshold,
+            // half one at or above it; drawing ids from a narrowed range
+            // with replacement makes duplicate marks common.
+            let want = if trial % 2 == 0 {
+                1 + rng.gen_range(words.div_ceil(DENSE_DRAIN) as u64) as usize
+            } else {
+                1 + rng.gen_range(2 * n as u64) as usize
+            };
+            let span = 1 + rng.gen_range(n as u64);
+            let marks: Vec<NodeId> = (0..want).map(|_| rng.gen_range(span) as NodeId).collect();
+            let expect: Vec<NodeId> = marks
+                .iter()
+                .copied()
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            if expect.len() * DENSE_DRAIN >= words {
+                dense += 1;
+            } else {
+                sparse += 1;
+            }
+            let drains: [fn(&mut DirtySet) -> Vec<NodeId>; 3] = [
+                DirtySet::drain,
+                DirtySet::drain_scan,
+                DirtySet::drain_sorted,
+            ];
+            for drain in drains {
+                let mut set = marked(n, &marks);
+                let got = drain(&mut set);
+                assert_eq!(got, expect, "trial {trial}: n={n}, {} marks", marks.len());
+                assert!(got.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+                assert!(set.bits.iter().all(|&w| w == 0), "bitset cleared");
+                set.recycle(got);
+                assert_eq!(set.len(), 0);
+                // The recycled set marks and drains afresh.
+                set.insert(marks[0]);
+                assert_eq!(set.drain(), vec![marks[0]]);
+            }
+        }
+        assert!(dense > 50 && sparse > 50, "{dense} dense, {sparse} sparse");
+    }
+
+    #[test]
+    fn dirty_fill_and_grow_stay_within_the_id_space() {
+        for n in [1, 63, 64, 65, 130] {
+            let mut set = DirtySet::full(n);
+            assert_eq!(set.len(), n);
+            let ones: u32 = set.bits.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(ones as usize, n, "no bit beyond id {n}");
+            assert_eq!(set.drain(), (0..n as NodeId).collect::<Vec<_>>());
+            set.grow(n + 1);
+            set.insert(n as NodeId);
+            assert_eq!(set.drain(), vec![n as NodeId], "id {n} after growth");
+        }
+    }
+
+    #[test]
+    fn arrivals_across_a_word_boundary_stay_lockstep_with_interpreter() {
+        // A 64-node path fills exactly one bitset word; the arrivals take
+        // ids 64 and 65, so the first needs a new word, and the edges that
+        // attach them schedule ids in it.
+        let mut a = infected_path(64);
+        let mut b = infected_path(64);
+        b.ensure_kernel();
+        for round in 0..5 {
+            a.sync_step_seeded(round);
+            b.sync_step_kernel_seeded(round);
+        }
+        for net in [&mut a, &mut b] {
+            assert_eq!(net.add_node(Infect::Healthy), 64);
+            assert!(net.add_edge(64, 2));
+            assert_eq!(net.add_node(Infect::Healthy), 65);
+            assert!(net.add_edge(65, 64));
+            assert!(net.add_edge(65, 63));
+        }
+        let k = b.kernel().unwrap();
+        assert_eq!(k.dirty.bits.len(), 2, "the arrival grew the bitset");
+        assert!(k.dirty.worklist.contains(&64) && k.dirty.worklist.contains(&65));
+        for round in 5..70 {
+            let ca = a.sync_step_seeded(round);
+            let cb = b.sync_step_kernel_seeded(round);
+            assert_eq!(ca, cb, "round {round} change counts");
+            assert_eq!(a.states(), b.states(), "round {round} states");
+        }
+        assert_eq!(b.state(65), Infect::Infected, "spread reached the arrival");
+        assert_eq!(b.kernel().unwrap().dirty_count(), 0, "quiescent");
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub use obs::{
 pub use packed::PackedStates;
 #[cfg(feature = "parallel")]
 pub use pool::ShardPool;
-pub use protocol::{Protocol, StateSpace};
+pub use protocol::{Protocol, StateSpace, SupportFold};
 pub use runner::{Budget, CancelToken, Engine, Policy, RunReport, Runner};
 pub use scheduler::{AsyncPolicy, AsyncScheduler, SyncScheduler};
 #[cfg(feature = "parallel")]

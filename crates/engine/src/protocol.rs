@@ -19,6 +19,32 @@ pub trait StateSpace: Copy + Eq + std::fmt::Debug {
     fn from_index(i: usize) -> Self;
 }
 
+/// A declared *support fold*: a transition that depends on the
+/// neighbourhood only through its set of distinct states, combined by an
+/// idempotent join (see [`Protocol::FOLD`]).
+///
+/// The paper's parallel automata (Def. 3.3, Theorem 3.7) combine
+/// neighbour states pairwise over any tree; when that combine is also
+/// idempotent, multiplicities stop mattering and the neighbours can be
+/// folded one by one in any order, duplicates included.
+#[derive(Clone, Copy)]
+pub struct SupportFold<S> {
+    /// The combine: idempotent, commutative and associative.
+    pub join: fn(S, S) -> S,
+    /// The new state from the own state and the joined neighbourhood.
+    pub finish: fn(S, S) -> S,
+}
+
+impl<S> SupportFold<S> {
+    /// `finish(own, join(n₁, join(n₂, …)))` over `neighbors`, which must
+    /// be non-empty. Order and repetition are irrelevant by the join laws.
+    #[inline]
+    pub fn apply(&self, own: S, mut neighbors: impl Iterator<Item = S>) -> S {
+        let first = neighbors.next().expect("a fold needs a neighbour");
+        (self.finish)(own, neighbors.fold(first, self.join))
+    }
+}
+
 /// A node program in the FSSGA model.
 ///
 /// The engine calls [`Protocol::transition`] when a node activates,
@@ -57,6 +83,26 @@ pub trait Protocol {
     /// explicitly.
     const COMPILED: bool = false;
 
+    /// Optional [`SupportFold`] declaration, letting the compiled kernel's
+    /// direct plan fold each gathered neighbour row straight into a new
+    /// state instead of sorting and run-length-encoding it into a view.
+    /// Declaring `Some(fold)` asserts the **fold law**: `fold.join` is
+    /// idempotent, commutative and associative, and for every own state
+    /// `a` and every non-empty neighbour multiset `μ`,
+    /// `transition(a, μ, 0) == finish(a, join over supp μ)` — the result
+    /// depends on which states are present, never on how many times.
+    ///
+    /// Only deterministic protocols (`RANDOMNESS <= 1`) may declare a
+    /// fold; kernel construction checks this. `fssga-verify` checks the
+    /// law itself exhaustively on each shipped declaration, and debug
+    /// builds compare every folded activation with `transition`.
+    ///
+    /// Wrappers whose state is a product over the inner protocol's (the
+    /// α synchronizer, the IWA embedding) must **not** forward the inner
+    /// fold: their transitions are not folds of their own states. Only
+    /// the by-reference impl forwards it. Defaults to `None`.
+    const FOLD: Option<SupportFold<Self::State>> = None;
+
     /// The new state of an activating node.
     fn transition(
         &self,
@@ -72,6 +118,7 @@ impl<P: Protocol> Protocol for &P {
     const MAX_THRESHOLD: u32 = P::MAX_THRESHOLD;
     const MODULI_LCM: u32 = P::MODULI_LCM;
     const COMPILED: bool = P::COMPILED;
+    const FOLD: Option<SupportFold<Self::State>> = P::FOLD;
 
     fn transition(
         &self,

@@ -8,7 +8,9 @@
 //! sketches. After stabilization every node estimates
 //! `n ≈ 1.3 · 2^ℓ`, where `ℓ` is the least index of a 0 bit.
 
-use fssga_engine::{NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace};
+use fssga_engine::{
+    NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace, SupportFold,
+};
 use fssga_graph::rng::Xoshiro256;
 
 /// A `K`-bit Flajolet–Martin sketch (`K <= 16`). Bit `i-1` of the word
@@ -77,6 +79,11 @@ pub struct Census<const K: usize>;
 impl<const K: usize> Protocol for Census<K> {
     type State = FmSketch<K>;
     const COMPILED: bool = true;
+    /// OR is idempotent, and the new sketch is `own ∪ ⋃ supp μ`.
+    const FOLD: Option<SupportFold<FmSketch<K>>> = Some(SupportFold {
+        join: FmSketch::union,
+        finish: FmSketch::union,
+    });
 
     fn transition(
         &self,

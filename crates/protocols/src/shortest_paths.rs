@@ -12,7 +12,9 @@
 //! paper's Section 2 algorithms allow integer state; in the FSSGA model
 //! the same idea reappears mod 3 as the Section 4.3 BFS).
 
-use fssga_engine::{NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace};
+use fssga_engine::{
+    NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace, SupportFold,
+};
 use fssga_graph::exact::UNREACHABLE;
 use fssga_graph::{Graph, NodeId};
 
@@ -71,9 +73,36 @@ impl<const CAP: usize> ShortestPaths<CAP> {
     }
 }
 
+impl<const CAP: usize> ShortestPaths<CAP> {
+    /// The fold's join: the state with the smaller label. State indices
+    /// order labels (`Sink` < `Label(0)` < `Label(1)` < …), so this is
+    /// `min` by index — idempotent, commutative and associative, with
+    /// ties between the two label-0 states broken towards `Sink`.
+    fn smaller(a: SpState<CAP>, b: SpState<CAP>) -> SpState<CAP> {
+        if b.index() < a.index() {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// The fold's finish: sinks stay sinks; everyone else is one past
+    /// the smallest neighbour label, capped.
+    fn relax(own: SpState<CAP>, nearest: SpState<CAP>) -> SpState<CAP> {
+        match own {
+            SpState::Sink => SpState::Sink,
+            SpState::Label(_) => SpState::Label((nearest.label() + 1).min(CAP as u16)),
+        }
+    }
+}
+
 impl<const CAP: usize> Protocol for ShortestPaths<CAP> {
     type State = SpState<CAP>;
     const COMPILED: bool = true;
+    const FOLD: Option<SupportFold<SpState<CAP>>> = Some(SupportFold {
+        join: Self::smaller,
+        finish: Self::relax,
+    });
 
     fn transition(
         &self,

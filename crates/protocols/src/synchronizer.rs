@@ -80,6 +80,8 @@ impl<P: Protocol> Protocol for Alpha<P> {
     // The wrapper itself reads capped/modded counts of product states.
     const MAX_THRESHOLD: u32 = P::MAX_THRESHOLD;
     const MODULI_LCM: u32 = P::MODULI_LCM;
+    // `FOLD` is deliberately not forwarded: waiting on clocks is not a
+    // fold of the product states (see `Protocol::FOLD`).
 
     fn transition(
         &self,

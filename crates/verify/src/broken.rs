@@ -6,7 +6,7 @@
 //! asserts the checker catches it with a stable, replayable, minimized
 //! counterexample.
 
-use fssga_engine::{impl_state_space, NeighborView, Protocol};
+use fssga_engine::{impl_state_space, NeighborView, Protocol, SupportFold};
 use fssga_graph::NodeId;
 use fssga_protocols::contract::{Scheduling, SemanticContract};
 
@@ -109,5 +109,63 @@ pub const OVERCOUNTER_CONTRACT: SemanticContract = SemanticContract {
     scheduling: Scheduling::Any,
     sensitivity: fssga_engine::SensitivityClass::Linear,
     max_nodes: 4,
+    config_budget: 10_000,
+};
+
+/// States of the [`XorParity`] toy protocol.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Bit {
+    /// Even.
+    Zero,
+    /// Odd.
+    One,
+}
+impl_state_space!(Bit { Zero, One });
+
+impl Bit {
+    /// Exclusive or.
+    pub fn xor(self, other: Bit) -> Bit {
+        if self == other {
+            Bit::Zero
+        } else {
+            Bit::One
+        }
+    }
+}
+
+/// Flips its bit once per `One` neighbour: `own ⊕ (μ_One mod 2)`. It
+/// declares the support fold `join = finish = xor`, but xor is not
+/// idempotent: two `One` neighbours cancel, while the support `{One}`
+/// holds one. The fold law is what fails — folding a whole gathered row
+/// with xor does equal the transition, so kernel lockstep tests alone
+/// would never notice the unsound declaration.
+pub struct XorParity;
+
+impl Protocol for XorParity {
+    type State = Bit;
+    const MODULI_LCM: u32 = 2;
+    const FOLD: Option<SupportFold<Bit>> = Some(SupportFold {
+        join: Bit::xor,
+        finish: Bit::xor,
+    });
+
+    fn transition(&self, own: Bit, nbrs: &NeighborView<'_, Bit>, _coin: u32) -> Bit {
+        if nbrs.count_mod(Bit::One, 2) == 1 {
+            own.xor(Bit::One)
+        } else {
+            own
+        }
+    }
+}
+
+/// The contract [`XorParity`] ships with. It claims nothing the explorer
+/// could refute; only the declared fold is wrong.
+pub const XOR_PARITY_CONTRACT: SemanticContract = SemanticContract {
+    name: "broken-xor-parity",
+    order_independent: false,
+    semilattice: false,
+    scheduling: Scheduling::SyncOnly,
+    sensitivity: fssga_engine::SensitivityClass::Linear,
+    max_nodes: 3,
     config_budget: 10_000,
 };

@@ -3,7 +3,8 @@
 //! stable, minimized, *replayable* witnesses.
 
 use fssga_verify::broken::{
-    first_wins_init, FirstWins, Overcounter, FIRST_WINS_CONTRACT, OVERCOUNTER_CONTRACT,
+    first_wins_init, Bit, FirstWins, Overcounter, XorParity, FIRST_WINS_CONTRACT,
+    OVERCOUNTER_CONTRACT, XOR_PARITY_CONTRACT,
 };
 use fssga_verify::checker::check_protocol;
 use fssga_verify::explore::{Explorer, NoObserver};
@@ -103,5 +104,40 @@ fn overcounter_query_bound_violation_is_caught() {
                 && d.message
                     .contains("not a function of the declared count classes")),
         "{report}"
+    );
+}
+
+#[test]
+fn xor_parity_fold_violations_have_golden_witnesses() {
+    let fam = family(XOR_PARITY_CONTRACT.max_nodes);
+    let report = check_protocol(&XOR_PARITY_CONTRACT, &XorParity, &fam, |_, v| {
+        if v == 0 {
+            Bit::One
+        } else {
+            Bit::Zero
+        }
+    });
+    let errors: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    // The fold is the only defect: the explorer and totality passes
+    // find nothing, and the fold pass reports idempotence (xor cancels)
+    // and count-dependence (two `One`s differ from the support `{One}`),
+    // each with its minimal witness.
+    assert!(
+        errors.iter().all(|d| d.analysis == "verify-fold"),
+        "{report}"
+    );
+    let text: Vec<String> = errors
+        .iter()
+        .map(|d| format!("{}\n  {}", d.message, d.witness.as_deref().unwrap_or("")))
+        .collect();
+    let golden = include_str!("golden/xor_parity_fold.txt");
+    assert_eq!(
+        text.join("\n"),
+        golden.trim_end(),
+        "fold witnesses drifted from the golden file"
     );
 }

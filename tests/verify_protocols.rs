@@ -41,7 +41,7 @@ fn quick_verification_exercises_every_check_kind() {
     // Census claims a semilattice: either certified silently (no errors)
     // or skipped with a note — but the confluence pass must have run on
     // the order-independent protocols and the sensitivity pass on all.
-    for analysis in ["verify", "verify-sensitivity"] {
+    for analysis in ["verify", "verify-sensitivity", "verify-fold"] {
         assert!(
             all.iter().any(|d| d.analysis == analysis),
             "no diagnostics from {analysis}"
