@@ -252,15 +252,14 @@ mod tests {
     /// mutability models a protocol whose queries depend on unbounded
     /// history): the query signature never settles, so the protocol is
     /// not finite-state realisable.
-    struct RaisingThreshold(std::cell::Cell<u32>);
+    struct RaisingThreshold(std::sync::atomic::AtomicU32);
     impl Protocol for RaisingThreshold {
         type State = Greedy;
         // Deliberately generous declaration: divergence must still be
         // caught by the convergence check, not the bounds check.
         const MAX_THRESHOLD: u32 = u32::MAX;
         fn transition(&self, own: Greedy, n: &NeighborView<'_, Greedy>, _c: u32) -> Greedy {
-            let t = self.0.get();
-            self.0.set(t + 1);
+            let t = self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let _ = n.at_least(Greedy::A, t.max(1));
             own
         }
@@ -270,7 +269,7 @@ mod tests {
     fn divergent_signature_flagged() {
         let report = audit_protocol(
             "raising_threshold",
-            RaisingThreshold(std::cell::Cell::new(1)),
+            RaisingThreshold(std::sync::atomic::AtomicU32::new(1)),
             |_| Greedy::A,
             &ProbeConfig::default(),
         );

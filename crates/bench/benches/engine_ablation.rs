@@ -1,5 +1,5 @@
 //! Ablation benches for the engine design decisions called out in
-//! DESIGN.md: sequential vs multi-threaded synchronous rounds,
+//! DESIGN.md: the compiled kernel at 1-8 threads (the sharded backend),
 //! interpreted mod-thresh tables vs native Rust transitions, and the
 //! compiled kernel vs the interpreter (see `fssga-bench engine` for the
 //! recorded large-n baseline).
@@ -7,7 +7,6 @@
 use fssga_bench::harness::harness_from_args;
 use fssga_engine::compile::compile_protocol;
 use fssga_engine::interp::InterpNetwork;
-use fssga_engine::parallel::sync_step_parallel;
 use fssga_engine::{Budget, Engine, Network, Runner, StateSpace};
 use fssga_graph::{generators, rng::Xoshiro256};
 use fssga_protocols::two_coloring::TwoColoring;
@@ -18,15 +17,25 @@ fn main() {
     let g = generators::grid(128, 128);
     let mut net = Network::new(&g, TwoColoring, |v| TwoColoring::init(v == 0));
     let mut rng = Xoshiro256::seed_from_u64(10);
-    h.bench("engine/sync-round-16k-nodes/sequential", || {
+    h.bench("engine/sync-round-16k-nodes/interpreter", || {
         net.sync_step(&mut rng)
     });
-    for threads in [2usize, 4, 8] {
-        let mut net = Network::new(&g, TwoColoring, |v| TwoColoring::init(v == 0));
-        let mut rng = Xoshiro256::seed_from_u64(10);
+    // The sharded kernel from a fresh network to its fixpoint: early
+    // rounds schedule every node (wide enough to wake the pool), late
+    // ones only the dirty frontier.
+    for threads in [1usize, 2, 4, 8] {
         h.bench(
-            &format!("engine/sync-round-16k-nodes/threads/{threads}"),
-            || sync_step_parallel(&mut net, &mut rng, threads),
+            &format!("engine/coloring-fixpoint-16k/kernel-threads/{threads}"),
+            || {
+                let mut net = Network::new(&g, TwoColoring, |v| TwoColoring::init(v == 0));
+                Runner::new(&mut net)
+                    .engine(Engine::Kernel)
+                    .threads(threads)
+                    .budget(Budget::Fixpoint(10 * 128 * 128))
+                    .run()
+                    .fixpoint
+                    .expect("stabilizes")
+            },
         );
     }
 

@@ -412,7 +412,7 @@ fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
         move |threads: usize| {
             let mut net = Network::new(g, Census::<16>, |v| sketches[v as usize]);
             let report = Runner::new(&mut net)
-                .engine(Engine::Sharded)
+                .engine(Engine::Kernel)
                 .threads(threads)
                 .budget(Budget::Fixpoint(10 * g.n()))
                 .run();
@@ -436,7 +436,7 @@ fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
             ShortestPaths::<CAP>::init(v == 0)
         });
         let report = Runner::new(&mut net)
-            .engine(Engine::Sharded)
+            .engine(Engine::Kernel)
             .threads(threads)
             .budget(Budget::Fixpoint(8 * CAP))
             .run();
@@ -489,7 +489,7 @@ fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
         let mut sink = fssga_engine::JsonlTrace::new(f);
         let mut net = Network::new(&torus, Census::<16>, |v| torus_sketches[v as usize]);
         Runner::new(&mut net)
-            .engine(Engine::Sharded)
+            .engine(Engine::Kernel)
             .threads(*THREAD_COUNTS.last().unwrap())
             .budget(Budget::Fixpoint(10 * torus.n()))
             .observed()

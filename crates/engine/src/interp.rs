@@ -113,7 +113,7 @@ impl<'a> InterpNetwork<'a> {
     /// One synchronous round with an explicit round seed (matches
     /// [`crate::network::round_coin`]); returns the number of changes.
     pub fn sync_step_seeded(&mut self, round_seed: u64) -> usize {
-        self.sync_step_traced(round_seed, &mut NullTracer)
+        self.sync_step_seeded_traced(round_seed, &mut NullTracer)
     }
 
     /// Like [`Self::sync_step_seeded`], but emits one [`RoundMetrics`]
@@ -121,7 +121,7 @@ impl<'a> InterpNetwork<'a> {
     /// untraced round). The table-level interpreter evaluates every
     /// eligible node natively, so `eligible = scheduled = activations =
     /// direct`; it has no fault channel of its own, so `faults` is 0.
-    pub fn sync_step_traced<T: Tracer>(&mut self, round_seed: u64, tracer: &mut T) -> usize {
+    pub fn sync_step_seeded_traced<T: Tracer>(&mut self, round_seed: u64, tracer: &mut T) -> usize {
         let trace = tracer.enabled();
         let n = self.graph.n_slots();
         let mut changed = 0;

@@ -59,8 +59,8 @@
 //! rounds of ~2 activations each, and scanning all `n/64` words every
 //! one of those rounds made it 2x slower.
 //!
-//! On top of both sits the **sharded round** (`parallel` feature): node
-//! ids are split into contiguous, degree-weighted shards
+//! The same round body also runs **sharded**: node ids are split into
+//! contiguous, degree-weighted shards
 //! ([`fssga_graph::Partition`]), each shard evaluates into its own
 //! arena (pending buffer, scratch vector, counters — no contention on
 //! any global structure), and the committing thread concatenates arenas
@@ -68,31 +68,24 @@
 //! drained dirty set is ascending, that concatenation *is* the sequential
 //! evaluation order, and coins come from
 //! [`round_coin`]`(round_seed, v, r)` — never from thread interleaving —
-//! so results are bit-identical to the sequential kernel for any thread
+//! so results are bit-identical to the inline round for any thread
 //! count. Threads come from a persistent [`crate::ShardPool`], parked
-//! between rounds.
+//! between rounds; [`CompiledKernel::step`] without a pool (or with
+//! a 1-thread pool, or a worklist below `SHARD_MIN_WORK`) evaluates the
+//! same worklist inline.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-
-use fssga_graph::NodeId;
-
-use crate::network::{round_coin, Metrics, Network};
-use crate::obs::{NullTracer, RoundMetrics, Tracer};
-use crate::packed::PackedStates;
-use crate::protocol::{Protocol, StateSpace};
-use crate::view::{NeighborView, QueryRecorder};
-
-#[cfg(feature = "parallel")]
 use std::sync::Mutex;
 
-#[cfg(feature = "parallel")]
-use fssga_graph::Partition;
+use fssga_graph::{NodeId, Partition};
 
-#[cfg(feature = "parallel")]
-use crate::obs::ShardRoundMetrics;
-#[cfg(feature = "parallel")]
+use crate::network::{round_coin, Metrics, Network};
+use crate::obs::{RoundMetrics, ShardRoundMetrics, Tracer};
+use crate::packed::PackedStates;
 use crate::pool::ShardPool;
+use crate::protocol::{Protocol, StateSpace};
+use crate::view::{NeighborView, QueryRecorder};
 
 /// Largest abstract-count space `(B + M)^|Q|` the tabular plan will
 /// enumerate. Beyond this the kernel falls back to the direct plan.
@@ -108,11 +101,10 @@ const ENTRY_BUDGET: u64 = 1 << 22;
 /// giving up on the tabular plan.
 const DISCOVERY_ROUNDS: usize = 8;
 
-/// Smallest worklist worth waking the shard pool for. Below this the
-/// sharded step evaluates inline on the calling thread (same canonical
-/// order, so the trajectory is unchanged — sparse late rounds just skip
-/// the wakeup latency).
-#[cfg(feature = "parallel")]
+/// Smallest worklist worth waking the shard pool for. Below this a
+/// round evaluates inline on the calling thread (same canonical order,
+/// so the trajectory is unchanged — sparse late rounds just skip the
+/// wakeup latency).
 const SHARD_MIN_WORK: usize = 256;
 
 /// Rows up to this length are reduced by insertion sort (branch-light,
@@ -352,7 +344,6 @@ enum PlanRef<'a> {
 /// One shard's private evaluation workspace. Shards write *only* here
 /// during the parallel phase — the global dirty set and pending buffer
 /// are touched exclusively by the committing thread.
-#[cfg(feature = "parallel")]
 struct ShardArena<P: Protocol> {
     /// This shard's proposed `(node, new state)` writes, in node order.
     out: Vec<(NodeId, P::State)>,
@@ -368,7 +359,6 @@ struct ShardArena<P: Protocol> {
 /// trigger a rebuild — a stale partition only costs balance, never
 /// correctness, because dead nodes and shrunken rows are skipped by the
 /// evaluator itself.
-#[cfg(feature = "parallel")]
 struct Sharding<P: Protocol> {
     partition: Partition,
     arenas: Vec<Mutex<ShardArena<P>>>,
@@ -425,7 +415,6 @@ pub struct CompiledKernel<P: Protocol> {
     bufs: EvalBufs,
     /// Sharded-execution state (partition + per-shard arenas), built on
     /// the first sharded step.
-    #[cfg(feature = "parallel")]
     sharding: Option<Sharding<P>>,
     _protocol: PhantomData<fn() -> P>,
 }
@@ -489,7 +478,6 @@ impl<P: Protocol> CompiledKernel<P> {
             packed: PackedStates::encode(net.states()),
             packed_stale: false,
             bufs: EvalBufs::default(),
-            #[cfg(feature = "parallel")]
             sharding: None,
             _protocol: PhantomData,
         }
@@ -651,10 +639,7 @@ impl<P: Protocol> CompiledKernel<P> {
         self.packed.push(state.index() as u32);
         // Degree 0: not eligible, nothing to schedule until an edge
         // arrives and on_edge_added marks it dirty.
-        #[cfg(feature = "parallel")]
-        {
-            self.sharding = None;
-        }
+        self.sharding = None;
     }
 
     /// Appends `target` to `v`'s CSR row, if absent. Returns whether an
@@ -860,58 +845,145 @@ impl<P: Protocol> CompiledKernel<P> {
         self.eligible
     }
 
-    /// One synchronous round over `states`. Returns the number of nodes
-    /// whose state changed; updates `metrics` (one round, `evaluated`
-    /// activations, `changed` changes).
-    pub fn step(
+    /// One synchronous round over `states` — the kernel's only round
+    /// body. Returns the number of nodes whose state changed; updates
+    /// `metrics` (one round, `evaluated` activations, `changed` changes).
+    ///
+    /// With a `pool` of more than one thread and at least
+    /// `SHARD_MIN_WORK` scheduled nodes, the worklist is evaluated sharded
+    /// over the pool; otherwise it is evaluated inline on the calling
+    /// thread. Bit-identical either way: shards are contiguous id ranges of
+    /// the ascending worklist, coins derive from `(round_seed, v)`, and
+    /// per-shard updates are committed in ascending shard order (= node
+    /// order).
+    ///
+    /// When `tracer` is enabled, one [`ShardRoundMetrics`] per shard (only
+    /// when the pool actually ran) is emitted in ascending shard order
+    /// *before* the round's [`RoundMetrics`] — always from the committing
+    /// thread, so sinks never see interleaved events. With
+    /// [`crate::NullTracer`] the bookkeeping monomorphizes away. `faults`
+    /// is the number of fault surgeries applied since the previous traced
+    /// round, forwarded into the event.
+    #[allow(clippy::too_many_arguments)]
+    pub fn step<T: Tracer>(
         &mut self,
         protocol: &P,
         states: &mut [P::State],
         metrics: &mut Metrics,
         round_seed: u64,
-    ) -> usize {
-        self.step_traced(protocol, states, metrics, round_seed, &mut NullTracer, 0)
-    }
-
-    /// Like [`Self::step`], but emits one [`RoundMetrics`] event to
-    /// `tracer` after the round (when it is enabled — with [`NullTracer`]
-    /// this monomorphizes to exactly [`Self::step`]). `faults` is the
-    /// number of fault surgeries applied since the previous traced round,
-    /// forwarded into the event.
-    pub fn step_traced<T: Tracer>(
-        &mut self,
-        protocol: &P,
-        states: &mut [P::State],
-        metrics: &mut Metrics,
-        round_seed: u64,
+        pool: Option<&mut ShardPool>,
         tracer: &mut T,
         faults: u64,
     ) -> usize {
         let trace = tracer.enabled();
         self.refresh_packed(states);
         self.pending.clear();
-        let (stats, scheduled) = if self.use_dirty {
-            let work = self.dirty.drain();
-            let stats = if trace {
-                self.eval_nodes::<true>(protocol, states, work.iter().copied(), round_seed)
-            } else {
-                self.eval_nodes::<false>(protocol, states, work.iter().copied(), round_seed)
-            };
-            let scheduled = work.len() as u64;
-            // Hand the buffer back so commit() marks into it.
-            self.dirty.recycle(work);
-            (stats, scheduled)
-        } else {
-            let n = self.row_len.len();
-            let stats = if trace {
-                self.eval_nodes::<true>(protocol, states, 0..n as NodeId, round_seed)
-            } else {
-                self.eval_nodes::<false>(protocol, states, 0..n as NodeId, round_seed)
-            };
-            (stats, self.eligible)
+        // This round's work: the drained dirty set, or every node.
+        let work = self.use_dirty.then(|| self.dirty.drain());
+        let scheduled = work.as_ref().map_or(self.eligible, |w| w.len() as u64);
+        let work_len = work.as_ref().map_or(self.row_len.len(), |w| w.len());
+
+        let mut per_shard: Vec<ShardRoundMetrics> = Vec::new();
+        let stats = match pool.filter(|p| p.threads() > 1 && work_len >= SHARD_MIN_WORK) {
+            // No pool, or not worth waking it: evaluate inline, in the
+            // same canonical order, producing the identical trajectory.
+            None => match (&work, trace) {
+                (Some(w), true) => {
+                    self.eval_nodes::<true>(protocol, states, w.iter().copied(), round_seed)
+                }
+                (Some(w), false) => {
+                    self.eval_nodes::<false>(protocol, states, w.iter().copied(), round_seed)
+                }
+                (None, true) => self.eval_nodes::<true>(
+                    protocol,
+                    states,
+                    0..self.row_len.len() as NodeId,
+                    round_seed,
+                ),
+                (None, false) => self.eval_nodes::<false>(
+                    protocol,
+                    states,
+                    0..self.row_len.len() as NodeId,
+                    round_seed,
+                ),
+            },
+            Some(pool) => {
+                let shards = pool.threads();
+                self.ensure_sharding(shards);
+                let sharding = self.sharding.as_ref().expect("just ensured");
+                let split = match &work {
+                    Some(w) => ShardWork::Slices(split_by_partition(w, &sharding.partition)),
+                    None => ShardWork::Ranges(&sharding.partition),
+                };
+                let csr = CsrRef {
+                    offsets: &self.offsets,
+                    row_len: &self.row_len,
+                    targets: &self.targets,
+                    alive: &self.alive,
+                };
+                let frozen: &[P::State] = states;
+                if trace {
+                    eval_shards::<P, true>(
+                        protocol,
+                        &csr,
+                        &self.plan,
+                        &self.packed,
+                        frozen,
+                        &split,
+                        &sharding.arenas,
+                        round_seed,
+                        pool,
+                    );
+                } else {
+                    eval_shards::<P, false>(
+                        protocol,
+                        &csr,
+                        &self.plan,
+                        &self.packed,
+                        frozen,
+                        &split,
+                        &sharding.arenas,
+                        round_seed,
+                        pool,
+                    );
+                }
+                let per_slice: Vec<u64> = (0..shards).map(|k| split.len_of(k)).collect();
+                drop(split);
+                // Merge in ascending shard order: contiguous shards over an
+                // ascending worklist concatenate to the sequential order.
+                let sharding = self.sharding.as_mut().expect("just ensured");
+                let mut stats = EvalStats::default();
+                for (k, arena) in sharding.arenas.iter_mut().enumerate() {
+                    let a = arena.get_mut().expect("shard arena poisoned");
+                    if trace {
+                        per_shard.push(ShardRoundMetrics {
+                            round: 0, // stamped after commit below
+                            shard: k as u32,
+                            shards: shards as u32,
+                            scheduled: per_slice[k],
+                            activations: a.stats.evaluated,
+                            changes: a.out.len() as u64,
+                            neighbor_reads: a.stats.reads,
+                        });
+                    }
+                    stats.evaluated += a.stats.evaluated;
+                    stats.reads += a.stats.reads;
+                    stats.tabular += a.stats.tabular;
+                    stats.direct += a.stats.direct;
+                    self.pending.append(&mut a.out);
+                }
+                stats
+            }
         };
+        if let Some(w) = work {
+            self.dirty.recycle(w);
+        }
         let changed = self.commit(states, metrics, stats.evaluated);
         if trace {
+            for s in &mut per_shard {
+                s.round = metrics.rounds;
+                tracer.shard_round(s);
+            }
             tracer.round(&RoundMetrics {
                 round: metrics.rounds,
                 eligible: self.eligible,
@@ -925,6 +997,30 @@ impl<P: Protocol> CompiledKernel<P> {
             });
         }
         changed
+    }
+
+    /// Builds (or rebuilds) the partition + arenas for `shards` shards.
+    /// Weighted by the *live* CSR row lengths, so a kernel sharded after
+    /// fault surgeries balances the surviving topology.
+    fn ensure_sharding(&mut self, shards: usize) {
+        let rebuild = match &self.sharding {
+            Some(s) => s.partition.shards() != shards,
+            None => true,
+        };
+        if !rebuild {
+            return;
+        }
+        let partition = Partition::from_degrees(&self.row_len, shards);
+        let arenas = (0..shards)
+            .map(|_| {
+                Mutex::new(ShardArena {
+                    out: Vec::new(),
+                    bufs: EvalBufs::default(),
+                    stats: EvalStats::default(),
+                })
+            })
+            .collect();
+        self.sharding = Some(Sharding { partition, arenas });
     }
 
     /// Re-encodes the packed mirror if an out-of-band write invalidated
@@ -971,8 +1067,7 @@ impl<P: Protocol> CompiledKernel<P> {
     }
 
     /// Applies `self.pending`, marks changed nodes + their neighbours
-    /// dirty, keeps the packed mirror in sync, bumps metrics. Shared by
-    /// the sequential and parallel steps.
+    /// dirty, keeps the packed mirror in sync, bumps metrics.
     fn commit(&mut self, states: &mut [P::State], metrics: &mut Metrics, evaluated: u64) -> usize {
         let changed = self.pending.len();
         for i in 0..changed {
@@ -1000,7 +1095,6 @@ impl<P: Protocol> CompiledKernel<P> {
 /// partition's boundaries. Zero-copy: shard `k` gets exactly the work
 /// items whose ids fall in `partition.range(k)`, and concatenating the
 /// slices in shard order reproduces `work` verbatim.
-#[cfg(feature = "parallel")]
 fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a [NodeId]> {
     let mut out = Vec::with_capacity(partition.shards());
     let mut rest = work;
@@ -1018,13 +1112,11 @@ fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a 
 /// This round's work, per shard: either subslices of the drained
 /// (ascending) dirty set, or (for full re-evaluation) the partition's id
 /// ranges.
-#[cfg(feature = "parallel")]
 enum ShardWork<'a> {
     Slices(Vec<&'a [NodeId]>),
     Ranges(&'a Partition),
 }
 
-#[cfg(feature = "parallel")]
 impl ShardWork<'_> {
     fn len_of(&self, k: usize) -> u64 {
         match self {
@@ -1040,9 +1132,8 @@ impl ShardWork<'_> {
 /// split happens *before* the pool wakes, so each shard's hot loop is
 /// monomorphized with a compile-time constant rather than a captured
 /// flag.
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
-fn eval_shards<P, const TRACE: bool>(
+fn eval_shards<P: Protocol, const TRACE: bool>(
     protocol: &P,
     csr: &CsrRef<'_>,
     plan: &Plan,
@@ -1052,10 +1143,7 @@ fn eval_shards<P, const TRACE: bool>(
     arenas: &[Mutex<ShardArena<P>>],
     round_seed: u64,
     pool: &mut ShardPool,
-) where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-{
+) {
     pool.run(arenas.len(), &|k| {
         let mut guard = arenas[k].lock().expect("shard arena poisoned");
         let arena = &mut *guard;
@@ -1089,201 +1177,6 @@ fn eval_shards<P, const TRACE: bool>(
             ),
         };
     });
-}
-
-#[cfg(feature = "parallel")]
-impl<P: Protocol> CompiledKernel<P>
-where
-    P: Sync,
-    P::State: Send + Sync,
-{
-    /// Builds (or rebuilds) the partition + arenas for `shards` shards.
-    /// Weighted by the *live* CSR row lengths, so a kernel sharded after
-    /// fault surgeries balances the surviving topology.
-    fn ensure_sharding(&mut self, shards: usize) {
-        let rebuild = match &self.sharding {
-            Some(s) => s.partition.shards() != shards,
-            None => true,
-        };
-        if !rebuild {
-            return;
-        }
-        let partition = Partition::from_degrees(&self.row_len, shards);
-        let arenas = (0..shards)
-            .map(|_| {
-                Mutex::new(ShardArena {
-                    out: Vec::new(),
-                    bufs: EvalBufs::default(),
-                    stats: EvalStats::default(),
-                })
-            })
-            .collect();
-        self.sharding = Some(Sharding { partition, arenas });
-    }
-
-    /// Like [`Self::step`], but evaluates the round's worklist sharded
-    /// over `pool`. Bit-identical to the sequential step for any thread
-    /// count: shards are contiguous id ranges of the ascending worklist,
-    /// coins derive from `(round_seed, v)`, and per-shard updates are
-    /// committed in ascending shard order (= node order).
-    pub fn step_sharded(
-        &mut self,
-        protocol: &P,
-        states: &mut [P::State],
-        metrics: &mut Metrics,
-        round_seed: u64,
-        pool: &mut ShardPool,
-    ) -> usize {
-        self.step_sharded_traced(
-            protocol,
-            states,
-            metrics,
-            round_seed,
-            pool,
-            &mut NullTracer,
-            0,
-        )
-    }
-
-    /// Like [`Self::step_traced`], sharded over `pool`. When the tracer
-    /// is enabled and the pool actually ran (more than one shard, enough
-    /// work), one [`ShardRoundMetrics`] per shard is emitted in
-    /// ascending shard order *before* the round's [`RoundMetrics`] —
-    /// always from the committing thread, so sinks never see interleaved
-    /// events regardless of thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_sharded_traced<T: Tracer>(
-        &mut self,
-        protocol: &P,
-        states: &mut [P::State],
-        metrics: &mut Metrics,
-        round_seed: u64,
-        pool: &mut ShardPool,
-        tracer: &mut T,
-        faults: u64,
-    ) -> usize {
-        let trace = tracer.enabled();
-        let shards = pool.threads();
-        self.refresh_packed(states);
-        self.pending.clear();
-        // Gather this round's work exactly as the sequential step does.
-        let work = self.use_dirty.then(|| self.dirty.drain());
-        let scheduled = work.as_ref().map_or(self.eligible, |w| w.len() as u64);
-        let work_len = work.as_ref().map_or(self.row_len.len(), |w| w.len());
-
-        let mut per_shard: Vec<ShardRoundMetrics> = Vec::new();
-        let stats = if shards <= 1 || work_len < SHARD_MIN_WORK {
-            // Not worth waking the pool: evaluate inline, in the same
-            // canonical order, producing the identical trajectory.
-            match (&work, trace) {
-                (Some(w), true) => {
-                    self.eval_nodes::<true>(protocol, states, w.iter().copied(), round_seed)
-                }
-                (Some(w), false) => {
-                    self.eval_nodes::<false>(protocol, states, w.iter().copied(), round_seed)
-                }
-                (None, true) => self.eval_nodes::<true>(
-                    protocol,
-                    states,
-                    0..self.row_len.len() as NodeId,
-                    round_seed,
-                ),
-                (None, false) => self.eval_nodes::<false>(
-                    protocol,
-                    states,
-                    0..self.row_len.len() as NodeId,
-                    round_seed,
-                ),
-            }
-        } else {
-            self.ensure_sharding(shards);
-            let sharding = self.sharding.as_ref().expect("just ensured");
-            let split = match &work {
-                Some(w) => ShardWork::Slices(split_by_partition(w, &sharding.partition)),
-                None => ShardWork::Ranges(&sharding.partition),
-            };
-            let csr = CsrRef {
-                offsets: &self.offsets,
-                row_len: &self.row_len,
-                targets: &self.targets,
-                alive: &self.alive,
-            };
-            let frozen: &[P::State] = states;
-            if trace {
-                eval_shards::<P, true>(
-                    protocol,
-                    &csr,
-                    &self.plan,
-                    &self.packed,
-                    frozen,
-                    &split,
-                    &sharding.arenas,
-                    round_seed,
-                    pool,
-                );
-            } else {
-                eval_shards::<P, false>(
-                    protocol,
-                    &csr,
-                    &self.plan,
-                    &self.packed,
-                    frozen,
-                    &split,
-                    &sharding.arenas,
-                    round_seed,
-                    pool,
-                );
-            }
-            let per_slice: Vec<u64> = (0..shards).map(|k| split.len_of(k)).collect();
-            drop(split);
-            // Merge in ascending shard order: contiguous shards over an
-            // ascending worklist concatenate to the sequential order.
-            let sharding = self.sharding.as_mut().expect("just ensured");
-            let mut stats = EvalStats::default();
-            for (k, arena) in sharding.arenas.iter_mut().enumerate() {
-                let a = arena.get_mut().expect("shard arena poisoned");
-                if trace {
-                    per_shard.push(ShardRoundMetrics {
-                        round: 0, // stamped after commit below
-                        shard: k as u32,
-                        shards: shards as u32,
-                        scheduled: per_slice[k],
-                        activations: a.stats.evaluated,
-                        changes: a.out.len() as u64,
-                        neighbor_reads: a.stats.reads,
-                    });
-                }
-                stats.evaluated += a.stats.evaluated;
-                stats.reads += a.stats.reads;
-                stats.tabular += a.stats.tabular;
-                stats.direct += a.stats.direct;
-                self.pending.append(&mut a.out);
-            }
-            stats
-        };
-        if let Some(w) = work {
-            self.dirty.recycle(w);
-        }
-        let changed = self.commit(states, metrics, stats.evaluated);
-        if trace {
-            for s in &mut per_shard {
-                s.round = metrics.rounds;
-                tracer.shard_round(s);
-            }
-            tracer.round(&RoundMetrics {
-                round: metrics.rounds,
-                eligible: self.eligible,
-                scheduled,
-                activations: stats.evaluated,
-                changes: changed as u64,
-                neighbor_reads: stats.reads,
-                tabular: stats.tabular,
-                direct: stats.direct,
-                faults,
-            });
-        }
-        changed
-    }
 }
 
 /// Borrowed CSR arrays, cheap to copy into worker closures.
@@ -1598,6 +1491,7 @@ fn build_tables<P: Protocol>(protocol: &P) -> Option<Tables> {
 mod tests {
     use super::*;
     use crate::impl_state_space;
+    use crate::obs::NullTracer;
     use fssga_graph::generators;
     use fssga_graph::rng::Xoshiro256;
 
@@ -1821,7 +1715,15 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut m = Metrics::default();
         while k.dirty_count() > 0 {
-            k.step(net.protocol(), &mut states, &mut m, 0);
+            k.step(
+                net.protocol(),
+                &mut states,
+                &mut m,
+                0,
+                None,
+                &mut NullTracer,
+                0,
+            );
         }
         let eligible = k.eligible_count();
         k.on_edge_removed(2, 3);
@@ -1938,11 +1840,12 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut rng = Xoshiro256::seed_from_u64(3);
         for _ in 0..8 {
-            k.step_traced(
+            k.step(
                 net.protocol(),
                 &mut states,
                 &mut m,
                 rng.next_u64(),
+                None,
                 &mut log,
                 0,
             );
@@ -1965,7 +1868,7 @@ mod tests {
         let mut log = RoundLog::default();
         let mut m = Metrics::default();
         let mut states = net.states().to_vec();
-        k.step_traced(net.protocol(), &mut states, &mut m, 0, &mut log, 0);
+        k.step(net.protocol(), &mut states, &mut m, 0, None, &mut log, 0);
         let r = log.rounds[0];
         assert_eq!(r.round, 1);
         assert_eq!(r.eligible, 6);
@@ -2472,7 +2375,15 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut m = Metrics::default();
         while k.dirty_count() > 0 {
-            k.step(net.protocol(), &mut states, &mut m, 0);
+            k.step(
+                net.protocol(),
+                &mut states,
+                &mut m,
+                0,
+                None,
+                &mut NullTracer,
+                0,
+            );
         }
         k.on_edge_added(1, 2); // already adjacent in the path
         assert_eq!(k.dirty_count(), 0, "phantom addition reschedules nothing");

@@ -9,15 +9,14 @@ use fssga_graph::{DynGraph, Graph, NodeId};
 
 use crate::kernel::{CompiledKernel, KernelPlan};
 use crate::obs::{NullTracer, RoundMetrics, Tracer};
-#[cfg(feature = "parallel")]
 use crate::pool::ShardPool;
 use crate::protocol::{Protocol, StateSpace};
 use crate::view::{NeighborView, QueryRecorder};
 
 /// The coin a node draws in a synchronous round: a pure function of
-/// `(round_seed, node, r)`, shared by the sequential stepper, the parallel
-/// stepper, and the table-level interpreter so that all three agree
-/// bit-for-bit.
+/// `(round_seed, node, r)`, shared by the interpreter, the compiled
+/// kernel (inline or sharded), and the table-level interpreter so that
+/// all three agree bit-for-bit.
 #[inline]
 pub fn round_coin(round_seed: u64, v: NodeId, r: u32) -> u32 {
     if r <= 1 {
@@ -81,7 +80,6 @@ pub struct Network<P: Protocol> {
     /// Persistent worker pool for sharded rounds — built on first use,
     /// rebuilt when the requested thread count changes, parked between
     /// rounds so sharded stepping pays no spawn cost per round.
-    #[cfg(feature = "parallel")]
     pool: Option<ShardPool>,
     /// Execution counters (public for instrumentation).
     ///
@@ -111,7 +109,6 @@ impl<P: Protocol> Network<P> {
             kernel: None,
             kernel_stale: false,
             pending_faults: 0,
-            #[cfg(feature = "parallel")]
             pool: None,
             metrics: Metrics::default(),
         }
@@ -362,8 +359,8 @@ impl<P: Protocol> Network<P> {
 
     /// The coin node `v` uses in the synchronous round with seed
     /// `round_seed`. Deriving coins from `(round_seed, v)` — rather than
-    /// from a shared stream — makes the parallel synchronous step
-    /// bit-identical to the sequential one.
+    /// from a shared stream — makes every evaluation order (interpreter,
+    /// kernel, any shard count) draw the same coins.
     #[inline]
     pub(crate) fn coin_for(round_seed: u64, v: NodeId) -> u32 {
         round_coin(round_seed, v, P::RANDOMNESS)
@@ -378,8 +375,8 @@ impl<P: Protocol> Network<P> {
         self.sync_step_seeded(round_seed)
     }
 
-    /// Synchronous round with an explicit seed (determinism across
-    /// sequential/parallel paths; see [`crate::parallel`]).
+    /// Synchronous round with an explicit seed (the coins are
+    /// [`round_coin`]`(round_seed, v, RANDOMNESS)`).
     pub fn sync_step_seeded(&mut self, round_seed: u64) -> usize {
         self.sync_step_seeded_traced(round_seed, &mut NullTracer)
     }
@@ -445,101 +442,31 @@ impl<P: Protocol> Network<P> {
         changed
     }
 
-    /// One synchronous round on the compiled kernel (built on demand).
-    /// Bit-identical trajectory to [`Self::sync_step`]; see the
-    /// [`Metrics`] note about activation counts. The coin stream comes
-    /// from `rng` exactly as in the interpreter path, so the two paths
-    /// are interchangeable round-by-round.
-    pub fn sync_step_kernel(&mut self, rng: &mut Xoshiro256) -> usize {
-        let round_seed = if P::RANDOMNESS > 1 { rng.next_u64() } else { 0 };
-        self.sync_step_kernel_seeded(round_seed)
-    }
-
-    /// Kernel round with an explicit seed (see
-    /// [`Self::sync_step_seeded`]).
+    /// One synchronous round on the compiled kernel (built on demand),
+    /// on the calling thread. Bit-identical trajectory to
+    /// [`Self::sync_step_seeded`]; see the [`Metrics`] note about
+    /// activation counts.
     pub fn sync_step_kernel_seeded(&mut self, round_seed: u64) -> usize {
-        self.sync_step_kernel_seeded_traced(round_seed, &mut NullTracer)
+        self.kernel_step(round_seed, 1, &mut NullTracer)
     }
 
     /// Like [`Self::sync_step_kernel_seeded`], but forwards one
     /// [`RoundMetrics`] event per round to `tracer` (see
-    /// [`CompiledKernel::step_traced`]).
+    /// [`CompiledKernel::step`]).
     pub fn sync_step_kernel_seeded_traced<T: Tracer>(
         &mut self,
         round_seed: u64,
         tracer: &mut T,
     ) -> usize {
-        assert!(
-            self.recorder.is_none(),
-            "query recording requires the interpreter stepper"
-        );
-        self.ensure_kernel();
-        let faults = if tracer.enabled() {
-            self.take_pending_faults()
-        } else {
-            0
-        };
-        let mut kernel = self.kernel.take().expect("ensured above");
-        if self.kernel_stale {
-            kernel.mark_all_dirty();
-            self.kernel_stale = false;
-        }
-        let changed = kernel.step_traced(
-            &self.protocol,
-            &mut self.states,
-            &mut self.metrics,
-            round_seed,
-            tracer,
-            faults,
-        );
-        self.kernel = Some(kernel);
-        changed
+        self.kernel_step(round_seed, 1, tracer)
     }
 
-    /// Splits the network into the pieces the parallel stepper needs.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parallel_parts(
-        &mut self,
-    ) -> (&P, &DynGraph, &[P::State], &mut [P::State], &mut Metrics) {
-        (
-            &self.protocol,
-            &self.graph,
-            &self.states,
-            &mut self.next,
-            &mut self.metrics,
-        )
-    }
-
-    pub(crate) fn swap_buffers(&mut self) {
-        std::mem::swap(&mut self.states, &mut self.next);
-        self.kernel_stale = true;
-    }
-
-    pub(crate) fn recording_enabled(&self) -> bool {
-        self.recorder.is_some()
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<P: Protocol> Network<P>
-where
-    P: Sync,
-    P::State: Send + Sync,
-{
-    /// Kernel round with an explicit seed, evaluated over the sharded
-    /// backend with `threads` threads. Bit-identical to
-    /// [`Self::sync_step_kernel_seeded`] for any thread count.
-    pub fn sync_step_kernel_sharded_seeded(&mut self, round_seed: u64, threads: usize) -> usize {
-        self.sync_step_kernel_sharded_seeded_traced(round_seed, threads, &mut NullTracer)
-    }
-
-    /// Traced variant of [`Self::sync_step_kernel_sharded_seeded`]: emits
-    /// per-shard [`crate::ShardRoundMetrics`] (when the pool actually
-    /// runs) followed by the round's [`RoundMetrics`], all from this
-    /// thread in deterministic order. The worker pool persists inside
-    /// the network across rounds; it is rebuilt only when `threads`
-    /// changes.
-    pub fn sync_step_kernel_sharded_seeded_traced<T: Tracer>(
+    /// The kernel round behind every kernel entry point and
+    /// [`crate::Runner`]. With `threads > 1` the round is evaluated over
+    /// the network's persistent [`ShardPool`], built on first use and
+    /// rebuilt only when `threads` changes; the trajectory is
+    /// bit-identical for every thread count.
+    pub(crate) fn kernel_step<T: Tracer>(
         &mut self,
         round_seed: u64,
         threads: usize,
@@ -560,12 +487,15 @@ where
             kernel.mark_all_dirty();
             self.kernel_stale = false;
         }
-        let threads = threads.max(1);
-        if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
-            self.pool = Some(ShardPool::new(threads));
-        }
-        let pool = self.pool.as_mut().expect("just ensured");
-        let changed = kernel.step_sharded_traced(
+        let pool = if threads > 1 {
+            if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
+                self.pool = Some(ShardPool::new(threads));
+            }
+            self.pool.as_mut()
+        } else {
+            None
+        };
+        let changed = kernel.step(
             &self.protocol,
             &mut self.states,
             &mut self.metrics,
@@ -576,6 +506,10 @@ where
         );
         self.kernel = Some(kernel);
         changed
+    }
+
+    pub(crate) fn recording_enabled(&self) -> bool {
+        self.recorder.is_some()
     }
 }
 
@@ -730,6 +664,32 @@ mod tests {
         // Spread asks only some(Infected): threshold 1 everywhere, no mods.
         assert_eq!(rec.thresholds, vec![1, 1]);
         assert_eq!(rec.moduli, vec![1, 1]);
+    }
+
+    #[test]
+    fn interpreter_ignores_threads() {
+        // The interpreter is the single-threaded reference: a thread count
+        // changes nothing in the run and builds no shard pool.
+        use crate::runner::{Budget, Engine, Runner};
+        let g = generators::grid(20, 20);
+        let run = |threads: usize| {
+            let mut net = Network::new(&g, Spread, |v| {
+                if v == 0 {
+                    Infect::Infected
+                } else {
+                    Infect::Healthy
+                }
+            });
+            let report = Runner::new(&mut net)
+                .engine(Engine::Interpreter)
+                .threads(threads)
+                .budget(Budget::Fixpoint(100))
+                .observed()
+                .run();
+            assert!(net.pool.is_none(), "{threads} threads built a pool");
+            (report, net.states().to_vec(), net.metrics.clone())
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]

@@ -8,7 +8,11 @@ use crate::view::NeighborView;
 /// engine needs a dense `0..COUNT` indexing to tally neighbour states into
 /// a scratch array (the "cartesian product of the variables' ranges" trick
 /// the paper describes under Algorithm 4.1).
-pub trait StateSpace: Copy + Eq + std::fmt::Debug {
+///
+/// `Send + Sync` because a sharded round reads the frozen state vector
+/// from every worker thread and hands proposed states back to the
+/// committing one.
+pub trait StateSpace: Copy + Eq + std::fmt::Debug + Send + Sync {
     /// Number of distinct states, `|Q|`.
     const COUNT: usize;
 
@@ -53,7 +57,10 @@ impl<S> SupportFold<S> {
 /// through symmetric, finite mod/thresh queries), and — for probabilistic
 /// protocols (Definition 3.11) — a uniformly random coin in
 /// `0..RANDOMNESS`.
-pub trait Protocol {
+///
+/// `Sync` because a sharded round calls `transition` from several worker
+/// threads at once through a shared `&self`.
+pub trait Protocol: Sync {
     /// The node state type `Q`.
     type State: StateSpace;
 

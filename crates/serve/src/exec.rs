@@ -179,18 +179,14 @@ fn cancel_error(cancel: &JobCancel, spec: &JobSpec) -> JobError {
 
 /// One static-topology [`Runner`] run. The monomorphized heart of the
 /// service: everything protocol-specific arrived via `proto` + `init`.
-fn run_job<P>(
+fn run_job<P: Protocol>(
     job: u64,
     spec: &JobSpec,
     cancel: &JobCancel,
     tx: &SyncSender<String>,
     proto: P,
     init: impl FnMut(NodeId) -> P::State,
-) -> Result<String, JobError>
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-{
+) -> Result<String, JobError> {
     let g = spec.graph.build(spec.seed);
     let mut net = Network::new(&g, proto, init);
     let budget = if spec.fixpoint {
@@ -198,16 +194,10 @@ where
     } else {
         Budget::Rounds(spec.rounds)
     };
-    let engine = if spec.threads > 1 {
-        Engine::Sharded
-    } else {
-        Engine::Auto
-    };
     let report = {
         let runner = Runner::new(&mut net)
             .budget(budget)
             .seed(spec.seed)
-            .engine(engine)
             .cancel(cancel.token().clone())
             .threads(spec.threads);
         if spec.stream {

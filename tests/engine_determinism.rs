@@ -1,13 +1,12 @@
-//! Tier-1 engine determinism suite: parallel synchronous stepping must be
-//! bit-identical to sequential stepping.
+//! Tier-1 engine determinism suite: the sharded kernel at any thread
+//! count must be bit-identical to the single-threaded interpreter.
 //!
 //! This is the promoted form of the old proptest-only
 //! `parallel_equals_sequential` property — it runs in every offline
 //! tier-1 build, with no optional features, over a fixed grid of seeds,
 //! graph sizes, and thread counts.
 
-use fssga::engine::parallel::sync_step_parallel;
-use fssga::engine::{Budget, NeighborView, Network, Protocol, Runner, StateSpace, SyncScheduler};
+use fssga::engine::{Budget, Engine, NeighborView, Network, Protocol, Runner, StateSpace};
 use fssga::graph::rng::Xoshiro256;
 use fssga::graph::{generators, NodeId};
 use fssga::protocols::bfs::{Bfs, BfsState};
@@ -48,6 +47,9 @@ impl Protocol for Mixer {
     }
 }
 
+/// Steps an interpreter network and a sharded-kernel network at
+/// `threads` threads in lockstep, one [`Runner`] round at a time from
+/// equally seeded generators, asserting equal states every round.
 fn assert_lockstep<P, F>(
     protocol: P,
     init: F,
@@ -57,8 +59,7 @@ fn assert_lockstep<P, F>(
     threads: usize,
     rounds: u32,
 ) where
-    P: Protocol + Copy + Sync,
-    P::State: PartialEq + std::fmt::Debug + Send + Sync,
+    P: Protocol + Copy,
     F: Fn(u32) -> P::State + Copy,
 {
     let g = generators::connected_gnp(n, p, &mut Xoshiro256::seed_from_u64(gseed));
@@ -68,7 +69,12 @@ fn assert_lockstep<P, F>(
     let mut r2 = Xoshiro256::seed_from_u64(gseed ^ 0xABCD);
     for round in 0..rounds {
         seq_net.sync_step(&mut r1);
-        sync_step_parallel(&mut par_net, &mut r2, threads);
+        Runner::new(&mut par_net)
+            .engine(Engine::Kernel)
+            .threads(threads)
+            .budget(Budget::Rounds(1))
+            .rng(&mut r2)
+            .run();
         assert_eq!(
             seq_net.states(),
             par_net.states(),
@@ -95,15 +101,16 @@ fn parallel_equals_sequential_mixer() {
 }
 
 /// Runs `rounds` synchronous rounds of identically-built networks through
-/// three entry points — the sequential [`Runner`], a 3-thread
-/// [`Runner::threads`] run,
-/// and the deprecated [`SyncScheduler::run_rounds`] wrapper — and asserts
-/// all three report the same change count and end in the same states.
-fn changes_parity<P>(build: &dyn Fn() -> Network<P>, rounds: usize, seed: u64, ctx: &str)
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync + std::fmt::Debug,
-{
+/// three entry points — the default [`Runner`], a 3-thread
+/// [`Runner::threads`] run on the sharded kernel, and the single-threaded
+/// interpreter — and asserts all three report the same change count and
+/// end in the same states.
+fn changes_parity<P: Protocol>(
+    build: &dyn Fn() -> Network<P>,
+    rounds: usize,
+    seed: u64,
+    ctx: &str,
+) {
     let mut seq = build();
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let sequential = Runner::new(&mut seq)
@@ -115,24 +122,29 @@ where
     let mut par = build();
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let parallel = Runner::new(&mut par)
+        .engine(Engine::Kernel)
         .budget(Budget::Rounds(rounds))
         .rng(&mut rng)
         .threads(3)
         .run()
         .changes;
 
-    let mut legacy_net = build();
+    let mut interp = build();
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    #[allow(deprecated)]
-    let legacy = SyncScheduler::run_rounds(&mut legacy_net, &mut rng, rounds) as u64;
+    let interpreted = Runner::new(&mut interp)
+        .engine(Engine::Interpreter)
+        .budget(Budget::Rounds(rounds))
+        .rng(&mut rng)
+        .run()
+        .changes;
 
     assert_eq!(
         sequential, parallel,
         "{ctx}: sequential vs parallel changes"
     );
     assert_eq!(
-        sequential, legacy,
-        "{ctx}: sequential vs deprecated changes"
+        sequential, interpreted,
+        "{ctx}: sequential vs interpreter changes"
     );
     assert_eq!(
         seq.states(),
@@ -141,15 +153,15 @@ where
     );
     assert_eq!(
         seq.states(),
-        legacy_net.states(),
-        "{ctx}: deprecated-wrapper states diverged"
+        interp.states(),
+        "{ctx}: interpreter states diverged"
     );
 }
 
-/// `RunReport::changes` parity across the sequential runner, the parallel
-/// stepper, and the deprecated wrapper, for every protocol in the
-/// workspace (the graph is large enough that the multi-thread path
-/// really spawns workers instead of falling back to the sequential one).
+/// `RunReport::changes` parity across the default runner, the sharded
+/// kernel, and the interpreter, for every protocol in the workspace (the
+/// graph is large enough that the first sharded rounds really wake the
+/// pool instead of evaluating inline).
 #[test]
 fn change_counts_agree_across_entry_points() {
     let g = generators::connected_gnp(300, 0.02, &mut Xoshiro256::seed_from_u64(0xD15C));
@@ -246,7 +258,9 @@ fn change_counts_agree_across_entry_points() {
 }
 
 /// Same grid on the randomized-coin path with odd thread counts that do
-/// not divide the node count (stresses chunk-boundary handling).
+/// not divide the node count (stresses shard-boundary handling). 257 is
+/// prime and just above the 256-node worklist below which a kernel round
+/// evaluates inline, so every round really shards.
 #[test]
 fn parallel_equals_sequential_ragged_chunks() {
     let init = |v: u32| S4::from_index(v as usize % 4);
@@ -254,7 +268,7 @@ fn parallel_equals_sequential_ragged_chunks() {
         assert_lockstep(
             Mixer,
             init,
-            101,
+            257,
             0.06,
             0xC0FFEE ^ threads as u64,
             threads,

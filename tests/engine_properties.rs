@@ -5,10 +5,10 @@
 //! build does not have; see the root `Cargo.toml`). Deterministic
 //! equivalents driven by the in-house seeded RNG always run, so the
 //! properties themselves are covered offline. The flagship
-//! parallel-vs-sequential determinism property lives in its own tier-1
+//! sharded-vs-sequential determinism property lives in its own tier-1
 //! suite, `tests/engine_determinism.rs`.
 
-use fssga::engine::{NeighborView, Network, Protocol, StateSpace};
+use fssga::engine::{Budget, Engine, NeighborView, Network, Protocol, Runner, StateSpace};
 use fssga::graph::rng::Xoshiro256;
 use fssga::graph::{exact, generators, Graph};
 
@@ -99,12 +99,22 @@ fn replay_determinism_deterministic() {
     }
 }
 
+/// One sharded-kernel round at `threads` threads, drawing its round seed
+/// from `rng` exactly as [`Network::sync_step`] does.
+fn sharded_step<P: Protocol>(net: &mut Network<P>, rng: &mut Xoshiro256, threads: usize) {
+    Runner::new(net)
+        .engine(Engine::Kernel)
+        .threads(threads)
+        .budget(Budget::Rounds(1))
+        .rng(rng)
+        .run();
+}
+
 #[test]
 fn parallel_stepping_handles_huge_alphabets() {
-    // The election automaton has ~69k states; the parallel stepper's
-    // per-thread scratch arrays and presence lists must agree with the
-    // sequential path bit-for-bit even there.
-    use fssga::engine::parallel::sync_step_parallel;
+    // The election automaton has ~69k states; the sharded kernel's
+    // per-shard buffers and presence lists must agree with the
+    // interpreter bit-for-bit even there.
     use fssga::protocols::election::{ElectState, Election};
     let mut rng = Xoshiro256::seed_from_u64(424242);
     let g = generators::connected_gnp(400, 0.015, &mut rng);
@@ -114,7 +124,7 @@ fn parallel_stepping_handles_huge_alphabets() {
     let mut r2 = Xoshiro256::seed_from_u64(7);
     for round in 0..40 {
         seq_net.sync_step(&mut r1);
-        sync_step_parallel(&mut par_net, &mut r2, 6);
+        sharded_step(&mut par_net, &mut r2, 6);
         assert_eq!(seq_net.states(), par_net.states(), "round {round}");
     }
 }
@@ -124,14 +134,13 @@ fn parallel_stepping_handles_huge_alphabets() {
 #[cfg(feature = "proptest")]
 mod proptest_suite {
     use super::*;
-    use fssga::engine::parallel::sync_step_parallel;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Parallel and sequential synchronous stepping agree bit-for-bit
-        /// on random graphs, seeds, and thread counts.
+        /// The sharded kernel and the sequential interpreter agree
+        /// bit-for-bit on random graphs, seeds, and thread counts.
         #[test]
         fn parallel_equals_sequential(seed in 0u64..1000, n in 300usize..500, threads in 2usize..9) {
             let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -143,7 +152,7 @@ mod proptest_suite {
             let mut rb = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..4 {
                 a.sync_step(&mut ra);
-                sync_step_parallel(&mut b, &mut rb, threads);
+                sharded_step(&mut b, &mut rb, threads);
                 prop_assert_eq!(a.states(), b.states());
             }
         }

@@ -11,10 +11,8 @@
 //! require the kernel, sequential and sharded, to stay in lockstep with
 //! the interpreter every round.
 
-#![cfg(feature = "parallel")]
-
 use fssga::engine::rng::Xoshiro256;
-use fssga::engine::{KernelPlan, Network, Protocol};
+use fssga::engine::{Budget, Engine, KernelPlan, Network, Protocol, Runner};
 use fssga::graph::{generators, Graph, NodeId};
 use fssga::protocols::census::{Census, FmSketch};
 use fssga::protocols::shortest_paths::{ShortestPaths, SpState};
@@ -65,17 +63,18 @@ fn permuted<P: Protocol>(
 
 /// Steps all three networks with the same seeds until the interpreter
 /// quiesces, asserting equal change counts and states every round.
-fn lockstep<P>(name: &str, [mut interp, mut kernel, mut sharded]: [Network<P>; 3])
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-{
+fn lockstep<P: Protocol>(name: &str, [mut interp, mut kernel, mut sharded]: [Network<P>; 3]) {
     let mut rng = Xoshiro256::seed_from_u64(0xF01D);
     for round in 0..200 {
         let seed = rng.next_u64();
         let ci = interp.sync_step_seeded(seed);
         let ck = kernel.sync_step_kernel_seeded(seed);
-        let cs = sharded.sync_step_kernel_sharded_seeded(seed, 2);
+        let cs = Runner::new(&mut sharded)
+            .engine(Engine::Kernel)
+            .threads(2)
+            .budget(Budget::Rounds(1))
+            .run()
+            .changes as usize;
         assert_eq!((ci, ci), (ck, cs), "{name}: change counts at round {round}");
         assert_eq!(interp.states(), kernel.states(), "{name}: round {round}");
         assert_eq!(interp.states(), sharded.states(), "{name}: round {round}");

@@ -258,9 +258,8 @@ fn async_then_kernel_sync_matches_pure_interpreter() {
     }
 }
 
-/// Parallel synchronous rounds are bit-identical to sequential ones for
-/// any thread count, on both engines.
-#[cfg(feature = "parallel")]
+/// Synchronous rounds are bit-identical for any thread count, on both
+/// engines (the interpreter ignores the thread count; the kernel shards).
 #[test]
 fn parallel_rounds_are_bit_identical() {
     for (gname, g) in graphs() {

@@ -1,4 +1,4 @@
-//! Sharded execution equivalence: `Engine::Sharded` with any thread
+//! Sharded execution equivalence: `Engine::Kernel` at any thread
 //! count must be bit-identical to the sequential kernel — same final
 //! states, same cumulative change counts — for every protocol in the
 //! workspace, on graphs large enough that rounds genuinely split into
@@ -7,7 +7,6 @@
 //! replayed from a text-round-tripped [`CampaignTrace`], and the
 //! decomposition contract that per-shard metrics sum to the round's
 //! [`RoundMetrics`].
-#![cfg(feature = "parallel")]
 
 use fssga::engine::rng::Xoshiro256;
 use fssga::engine::{
@@ -46,19 +45,15 @@ fn graphs() -> Vec<(&'static str, Graph)> {
 
 /// Runs `rounds` sharded synchronous rounds at `threads` threads and
 /// returns the final states plus the cumulative change count.
-fn run_sharded<P>(
+fn run_sharded<P: Protocol>(
     build: &dyn Fn() -> Network<P>,
     rounds: usize,
     seed: u64,
     threads: usize,
-) -> (Vec<P::State>, u64)
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync + std::fmt::Debug,
-{
+) -> (Vec<P::State>, u64) {
     let mut net = build();
     Runner::new(&mut net)
-        .engine(Engine::Sharded)
+        .engine(Engine::Kernel)
         .threads(threads)
         .budget(Budget::Rounds(rounds))
         .seed(seed)
@@ -69,11 +64,12 @@ where
 /// Asserts the run is thread-count-invariant: every entry of [`THREADS`]
 /// reproduces the 1-thread states and change count bit-for-bit, and the
 /// 1-thread sharded run matches the plain sequential kernel.
-fn assert_thread_invariant<P>(build: &dyn Fn() -> Network<P>, rounds: usize, seed: u64, ctx: &str)
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync + std::fmt::Debug,
-{
+fn assert_thread_invariant<P: Protocol>(
+    build: &dyn Fn() -> Network<P>,
+    rounds: usize,
+    seed: u64,
+    ctx: &str,
+) {
     let (base_states, base_changes) = run_sharded(build, rounds, seed, THREADS[0]);
     for &threads in &THREADS[1..] {
         let (states, changes) = run_sharded(build, rounds, seed, threads);
@@ -254,7 +250,7 @@ fn campaign_fault_plans_replay_identically_under_sharding() {
                 cursor += 1;
             }
             Runner::new(&mut net)
-                .engine(Engine::Sharded)
+                .engine(Engine::Kernel)
                 .threads(threads)
                 .budget(Budget::Rounds(1))
                 .seed(1000 + tick)
@@ -285,7 +281,7 @@ fn shard_metrics_sum_to_round_metrics() {
     let mut net = Network::new(&g, Census::<8>, |v| sketches[v as usize]);
     let mut log = RoundLog::default();
     Runner::new(&mut net)
-        .engine(Engine::Sharded)
+        .engine(Engine::Kernel)
         .threads(4)
         .budget(Budget::Fixpoint(4000))
         .seed(11)
