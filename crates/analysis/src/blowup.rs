@@ -12,6 +12,7 @@
 
 use fssga_core::convert::{mt_to_par, mt_to_par_cost, par_to_seq, seq_to_mt, seq_to_mt_cost};
 use fssga_core::{library, SeqProgram};
+use fssga_engine::json::{self, Json};
 
 /// One program's trip around the conversion cycle.
 #[derive(Clone, Debug)]
@@ -123,36 +124,26 @@ pub fn to_tsv(rows: &[BlowupRow]) -> String {
     out
 }
 
-fn json_opt<T: std::fmt::Display>(v: &Option<T>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-/// Renders rows as a JSON array (hand-rolled: numbers and names only, no
-/// escaping needed beyond the fixed library names).
+/// Renders rows as a compact JSON array of objects, one per row, with
+/// `null` for every stage that exceeded the budget.
 pub fn to_json(rows: &[BlowupRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"seq_states\": {}, \"min_states\": {}, \
-             \"seq_to_mt_cost\": {}, \"mt_clauses\": {}, \"mt_atoms\": {}, \
-             \"mt_to_par_cost\": {}, \"par_states\": {}, \"roundtrip_seq_states\": {}}}{}\n",
-            r.name,
-            r.seq_states,
-            r.min_states,
-            r.seq_to_mt_cost,
-            json_opt(&r.mt_clauses),
-            json_opt(&r.mt_atoms),
-            json_opt(&r.mt_to_par_cost),
-            json_opt(&r.par_states),
-            json_opt(&r.roundtrip_seq_states),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push(']');
-    out
+    let count = |x: usize| json::n(x as f64);
+    let opt = |x: Option<usize>| x.map_or(Json::Null, count);
+    let cost = |x: u128| json::n(x as f64);
+    let rows = rows.iter().map(|r| {
+        json::obj(vec![
+            ("name", json::s(&r.name)),
+            ("seq_states", count(r.seq_states)),
+            ("min_states", count(r.min_states)),
+            ("seq_to_mt_cost", cost(r.seq_to_mt_cost)),
+            ("mt_clauses", opt(r.mt_clauses)),
+            ("mt_atoms", opt(r.mt_atoms)),
+            ("mt_to_par_cost", r.mt_to_par_cost.map_or(Json::Null, cost)),
+            ("par_states", opt(r.par_states)),
+            ("roundtrip_seq_states", opt(r.roundtrip_seq_states)),
+        ])
+    });
+    Json::Arr(rows.collect()).to_string()
 }
 
 #[cfg(test)]
@@ -209,15 +200,32 @@ mod tests {
     }
 
     #[test]
-    fn json_shape() {
-        let rows = vec![account("or_seq", &library::or_seq(), DEFAULT_LIMIT)];
-        let json = to_json(&rows);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"name\": \"or_seq\""));
-        assert!(
-            !json.contains("null"),
-            "small program converts fully: {json}"
-        );
+    fn json_table_parses_with_null_for_failed_stages() {
+        let mut rows = crate::lint::blowup_table();
+        rows.push(account("big", &library::count_ones_mod_seq(64), 4));
+        assert_eq!(rows.last().unwrap().par_states, None, "a stage failed");
+        let parsed = Json::parse(&to_json(&rows)).expect("blow-up JSON parses");
+        let objs = parsed.as_arr().expect("a JSON array");
+        assert_eq!(objs.len(), rows.len(), "one object per row");
+        for (o, r) in objs.iter().zip(&rows) {
+            assert_eq!(o.get("name").and_then(Json::as_str), Some(r.name.as_str()));
+            let sizes = [
+                ("seq_states", Some(r.seq_states as f64)),
+                ("min_states", Some(r.min_states as f64)),
+                ("seq_to_mt_cost", Some(r.seq_to_mt_cost as f64)),
+                ("mt_clauses", r.mt_clauses.map(|x| x as f64)),
+                ("mt_atoms", r.mt_atoms.map(|x| x as f64)),
+                ("mt_to_par_cost", r.mt_to_par_cost.map(|x| x as f64)),
+                ("par_states", r.par_states.map(|x| x as f64)),
+                (
+                    "roundtrip_seq_states",
+                    r.roundtrip_seq_states.map(|x| x as f64),
+                ),
+            ];
+            for (k, want) in sizes {
+                let want = want.map_or(Json::Null, Json::Num);
+                assert_eq!(o.get(k), Some(&want), "{}: {k}", r.name);
+            }
+        }
     }
 }

@@ -55,6 +55,7 @@ use std::time::Instant;
 
 use fssga_bench::harness::fmt_ns;
 use fssga_bench::DEFAULT_SEED;
+use fssga_engine::json::{self, Json};
 use fssga_engine::{
     run_churn_traced, Budget, ChurnConfig, ChurnStream, Engine, Network, RoundLog, RunMetrics,
     Runner, Tracer,
@@ -63,6 +64,7 @@ use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{DynGraph, Graph, NodeId};
 use fssga_protocols::census::{Census, FmSketch};
 use fssga_protocols::shortest_paths::ShortestPaths;
+use fssga_serve::fingerprint;
 
 /// Wall times (ns) and the fixpoint round for one engine on one workload.
 struct Timing {
@@ -96,24 +98,35 @@ impl Row {
         self.interp.median_ns() / self.kernel.median_ns()
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"n\":{},\"rounds\":{},\
-             \"interpreter_median_ns\":{:.0},\"kernel_median_ns\":{:.0},\
-             \"reps\":{},\"speedup\":{:.2},\"packed_bits\":{},\
-             \"kernel_activations_per_round\":{:.1},\"dirty_hit_rate\":{:.4}}}",
-            self.name,
-            self.n,
-            self.interp.rounds,
-            self.interp.median_ns(),
-            self.kernel.median_ns(),
-            self.interp.times_ns.len(),
-            self.speedup(),
-            self.packed_bits,
-            self.metrics.activations_per_round(),
-            self.metrics.dirty_hit_rate()
-        )
+    fn to_json(&self) -> Json {
+        json::obj(vec![
+            ("name", json::s(&self.name)),
+            ("n", json::nu(self.n as u64)),
+            ("rounds", json::nu(self.interp.rounds as u64)),
+            ("interpreter_median_ns", fixed(self.interp.median_ns(), 0)),
+            ("kernel_median_ns", fixed(self.kernel.median_ns(), 0)),
+            ("reps", json::nu(self.interp.times_ns.len() as u64)),
+            ("speedup", fixed(self.speedup(), 2)),
+            ("packed_bits", json::nu(self.packed_bits.into())),
+            (
+                "kernel_activations_per_round",
+                fixed(self.metrics.activations_per_round(), 1),
+            ),
+            ("dirty_hit_rate", fixed(self.metrics.dirty_hit_rate(), 4)),
+        ])
     }
+}
+
+/// `x` rounded to `digits` decimals, the precision a bench field records.
+fn fixed(x: f64, digits: i32) -> Json {
+    let scale = 10f64.powi(digits);
+    json::n((x * scale).round() / scale)
+}
+
+/// Writes `doc` and a trailing newline to `out`.
+fn write_json(out: &str, doc: Json) {
+    std::fs::write(out, format!("{doc}\n")).expect("write baseline json");
+    println!("wrote {out}");
 }
 
 /// Times `reps` fixpoint runs of `engine`, returning wall times and the
@@ -135,16 +148,6 @@ fn time_engine(
         fingerprint = f;
     }
     (Timing { times_ns, rounds }, fingerprint)
-}
-
-/// FNV-1a over state indices: cheap cross-engine equality witness.
-fn fingerprint(indices: impl Iterator<Item = usize>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for i in indices {
-        h ^= i as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 fn census_row(g: &Graph, name: &str, reps: usize, tracer: &mut dyn Tracer) -> Row {
@@ -305,14 +308,17 @@ fn engine_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
             100.0 * row.metrics.dirty_hit_rate()
         );
     }
-    let body: Vec<String> = rows.iter().map(Row::to_json).collect();
-    let json = format!(
-        "{{\"bench\":\"engine\",\"smoke\":{},\"workloads\":[{}]}}\n",
-        smoke,
-        body.join(",")
+    write_json(
+        out,
+        json::obj(vec![
+            ("bench", json::s("engine")),
+            ("smoke", Json::Bool(smoke)),
+            (
+                "workloads",
+                Json::Arr(rows.iter().map(Row::to_json).collect()),
+            ),
+        ]),
     );
-    std::fs::write(out, json).expect("write baseline json");
-    println!("wrote {out}");
 }
 
 /// Thread counts recorded by the `parallel` baseline.
@@ -329,23 +335,22 @@ struct ParRow {
 }
 
 impl ParRow {
-    fn to_json(&self) -> String {
-        let medians: Vec<String> = self.median_ns.iter().map(|t| format!("{t:.0}")).collect();
-        let speedups: Vec<String> = self
-            .median_ns
-            .iter()
-            .map(|&t| format!("{:.2}", self.median_ns[0] / t))
-            .collect();
-        format!(
-            "{{\"name\":\"{}\",\"n\":{},\"rounds\":{},\"reps\":{},\
-             \"median_ns\":[{}],\"speedup_vs_1\":[{}]}}",
-            self.name,
-            self.n,
-            self.rounds,
-            self.reps,
-            medians.join(","),
-            speedups.join(",")
-        )
+    fn to_json(&self) -> Json {
+        let t1 = self.median_ns[0];
+        json::obj(vec![
+            ("name", json::s(&self.name)),
+            ("n", json::nu(self.n as u64)),
+            ("rounds", json::nu(self.rounds as u64)),
+            ("reps", json::nu(self.reps as u64)),
+            (
+                "median_ns",
+                Json::Arr(self.median_ns.iter().map(|&t| fixed(t, 0)).collect()),
+            ),
+            (
+                "speedup_vs_1",
+                Json::Arr(self.median_ns.iter().map(|&t| fixed(t1 / t, 2)).collect()),
+            ),
+        ])
     }
 }
 
@@ -498,18 +503,22 @@ fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
         sink.into_inner().flush().expect("flush trace");
         println!("wrote {path}");
     }
-    let body: Vec<String> = rows.iter().map(ParRow::to_json).collect();
-    let threads_json: Vec<String> = THREAD_COUNTS.iter().map(usize::to_string).collect();
-    let json = format!(
-        "{{\"bench\":\"parallel\",\"smoke\":{},\"host_cpus\":{},\
-         \"threads\":[{}],\"workloads\":[{}]}}\n",
-        smoke,
-        host_cpus,
-        threads_json.join(","),
-        body.join(",")
+    write_json(
+        out,
+        json::obj(vec![
+            ("bench", json::s("parallel")),
+            ("smoke", Json::Bool(smoke)),
+            ("host_cpus", json::nu(host_cpus as u64)),
+            (
+                "threads",
+                Json::Arr(THREAD_COUNTS.iter().map(|&t| json::nu(t as u64)).collect()),
+            ),
+            (
+                "workloads",
+                Json::Arr(rows.iter().map(ParRow::to_json).collect()),
+            ),
+        ]),
     );
-    std::fs::write(out, json).expect("write baseline json");
-    println!("wrote {out}");
 }
 
 /// Deterministic sketch for a node id, shared by every replay of the
@@ -629,39 +638,36 @@ fn churn_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
         report.recovery_quantile(1.0),
         bit_identical
     );
-    let json = format!(
-        "{{\"bench\":\"churn\",\"smoke\":{},\"n\":{},\"horizon\":{},\"rate\":{:.1},\
-         \"scheduled_events\":{},\"applied_events\":{},\"arrivals\":{},\"departures\":{},\
-         \"skipped\":{},\"rounds\":{},\"work_per_event\":{:.2},\"rebuild_activations\":{},\
-         \"rebuild_ratio\":{:.1},\"rebuild_ns\":{:.0},\"events_per_sec\":{:.1},\
-         \"elapsed_ns\":{:.0},\"recovery_p50\":{},\"recovery_p90\":{},\"recovery_p99\":{},\
-         \"recovery_max\":{},\"bit_identical\":{},\"final_alive\":{},\"final_edges\":{}}}\n",
-        smoke,
-        g.n(),
-        horizon,
-        rate,
-        stream.len(),
-        report.events(),
-        report.arrivals,
-        report.departures,
-        report.skipped,
-        report.rounds,
-        report.work_per_event(),
-        rebuild_activations,
-        rebuild_ratio,
-        rebuild_ns,
-        events_per_sec,
-        churn_ns,
-        report.recovery_quantile(0.5),
-        report.recovery_quantile(0.9),
-        report.recovery_quantile(0.99),
-        report.recovery_quantile(1.0),
-        bit_identical,
-        report.final_alive,
-        report.final_edges
+    let recovery = |q: f64| json::nu(report.recovery_quantile(q));
+    write_json(
+        out,
+        json::obj(vec![
+            ("bench", json::s("churn")),
+            ("smoke", Json::Bool(smoke)),
+            ("n", json::nu(g.n() as u64)),
+            ("horizon", json::nu(horizon)),
+            ("rate", fixed(rate, 1)),
+            ("scheduled_events", json::nu(stream.len() as u64)),
+            ("applied_events", json::nu(report.events())),
+            ("arrivals", json::nu(report.arrivals)),
+            ("departures", json::nu(report.departures)),
+            ("skipped", json::nu(report.skipped)),
+            ("rounds", json::nu(report.rounds)),
+            ("work_per_event", fixed(report.work_per_event(), 2)),
+            ("rebuild_activations", json::nu(rebuild_activations)),
+            ("rebuild_ratio", fixed(rebuild_ratio, 1)),
+            ("rebuild_ns", fixed(rebuild_ns, 0)),
+            ("events_per_sec", fixed(events_per_sec, 1)),
+            ("elapsed_ns", fixed(churn_ns, 0)),
+            ("recovery_p50", recovery(0.5)),
+            ("recovery_p90", recovery(0.9)),
+            ("recovery_p99", recovery(0.99)),
+            ("recovery_max", recovery(1.0)),
+            ("bit_identical", Json::Bool(bit_identical)),
+            ("final_alive", json::nu(report.final_alive as u64)),
+            ("final_edges", json::nu(report.final_edges as u64)),
+        ]),
     );
-    std::fs::write(out, json).expect("write baseline json");
-    println!("wrote {out}");
 }
 
 /// The golden observability snapshot: per-round metrics of a compiled
@@ -728,7 +734,7 @@ struct ServeJobResult {
 /// `overloaded` sheds — the server closes the connection with the
 /// error frame) and reads the stream to its final frame.
 fn serve_submit(target: &str, spec_json: &str, capture: bool) -> Result<ServeJobResult, String> {
-    use fssga_serve::{read_frame, write_frame, Json};
+    use fssga_serve::{read_frame, write_frame};
     use std::net::TcpStream;
     let mut sheds = 0u64;
     loop {
@@ -782,7 +788,7 @@ fn serve_submit(target: &str, spec_json: &str, capture: bool) -> Result<ServeJob
 /// Runs `spec_json` in-process through the service's own executor to
 /// get the reference fingerprint the served runs must reproduce.
 fn serve_local_fingerprint(spec_json: &str) -> String {
-    use fssga_serve::{execute, JobCancel, JobSpec, Json, Limits};
+    use fssga_serve::{execute, JobCancel, JobSpec, Limits};
     let v = Json::parse(spec_json).expect("spec json");
     let spec = JobSpec::parse(&v, &Limits::default()).expect("spec parses");
     let (tx, rx) = std::sync::mpsc::sync_channel(1 << 14);
@@ -920,29 +926,27 @@ fn serve_baseline(
         fmt_ns(pct(0.99)),
         fmt_ns(pct(1.0)),
     );
-    let json = format!(
-        "{{\"bench\":\"serve\",\"smoke\":{},\"clients\":{},\"jobs_per_client\":{},\
-         \"jobs\":{},\"workers\":{},\"queue_cap\":{},\"sheds\":{},\"round_frames\":{},\
-         \"elapsed_ns\":{:.0},\"jobs_per_sec\":{:.1},\"latency_p50_ns\":{:.0},\
-         \"latency_p90_ns\":{:.0},\"latency_p99_ns\":{:.0},\"latency_max_ns\":{:.0},\
-         \"bit_identical\":true}}\n",
-        smoke,
-        clients,
-        jobs_per_client,
-        jobs,
-        workers,
-        queue_cap,
-        sheds,
-        round_frames,
-        elapsed_ns,
-        jobs_per_sec,
-        pct(0.5),
-        pct(0.9),
-        pct(0.99),
-        pct(1.0),
+    write_json(
+        out,
+        json::obj(vec![
+            ("bench", json::s("serve")),
+            ("smoke", Json::Bool(smoke)),
+            ("clients", json::nu(clients as u64)),
+            ("jobs_per_client", json::nu(jobs_per_client as u64)),
+            ("jobs", json::nu(jobs as u64)),
+            ("workers", json::nu(workers as u64)),
+            ("queue_cap", json::nu(queue_cap as u64)),
+            ("sheds", json::nu(sheds)),
+            ("round_frames", json::nu(round_frames)),
+            ("elapsed_ns", fixed(elapsed_ns, 0)),
+            ("jobs_per_sec", fixed(jobs_per_sec, 1)),
+            ("latency_p50_ns", fixed(pct(0.5), 0)),
+            ("latency_p90_ns", fixed(pct(0.9), 0)),
+            ("latency_p99_ns", fixed(pct(0.99), 0)),
+            ("latency_max_ns", fixed(pct(1.0), 0)),
+            ("bit_identical", Json::Bool(true)),
+        ]),
     );
-    std::fs::write(out, json).expect("write baseline json");
-    println!("wrote {out}");
 }
 
 fn main() {

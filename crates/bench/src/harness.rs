@@ -4,8 +4,8 @@
 //! the offline tier-1 build. This harness keeps the useful 20%: warmup,
 //! automatic iteration-count calibration against a per-sample time
 //! budget, and median-of-samples reporting, all on `std::time::Instant`.
-//! Results print as one aligned line per benchmark and can be serialized
-//! to JSON (hand-rolled; no serde) for CI artifacts.
+//! Results print as one aligned line per benchmark and stay readable
+//! through [`Harness::samples`].
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -23,16 +23,6 @@ pub struct Sample {
     pub median_ns: f64,
     /// Fastest per-iteration time in nanoseconds.
     pub min_ns: f64,
-}
-
-impl Sample {
-    /// JSON object for this sample (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"iters\":{},\"samples\":{},\"median_ns\":{:.1},\"min_ns\":{:.1}}}",
-            self.name, self.iters, self.samples, self.median_ns, self.min_ns
-        )
-    }
 }
 
 /// Collects [`Sample`]s; one per `bench` call.
@@ -55,11 +45,6 @@ impl Harness {
             sample_budget_ns: if smoke { 1e6 } else { 1e7 },
             sample_count: if smoke { 3 } else { 15 },
         }
-    }
-
-    /// Whether this harness was built in smoke mode (see [`Self::new`]).
-    pub fn is_smoke(&self) -> bool {
-        self.sample_count <= 3
     }
 
     /// Times `f`, recording the result under `name`. The closure's return
@@ -110,12 +95,6 @@ impl Harness {
     pub fn samples(&self) -> &[Sample] {
         &self.samples
     }
-
-    /// JSON array of all samples.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self.samples.iter().map(Sample::to_json).collect();
-        format!("[{}]", body.join(","))
-    }
 }
 
 /// Human-readable duration from nanoseconds.
@@ -144,7 +123,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn measures_and_serializes() {
+    fn measures() {
         let mut h = Harness::new(true);
         let mut x = 0u64;
         h.bench("smoke/add", || {
@@ -152,10 +131,8 @@ mod tests {
             x
         });
         assert_eq!(h.samples().len(), 1);
+        assert_eq!(h.samples()[0].name, "smoke/add");
         assert!(h.samples()[0].median_ns > 0.0);
-        let json = h.to_json();
-        assert!(json.starts_with("[{\"name\":\"smoke/add\""));
-        assert!(json.ends_with('}') || json.ends_with(']'));
     }
 
     #[test]

@@ -344,23 +344,10 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
             while cursor < events.len() && events[cursor].time <= tick {
                 let ev = events[cursor];
                 cursor += 1;
-                let applied = match ev.kind {
-                    FaultKind::Edge(u, v) => net.remove_edge(u, v),
-                    FaultKind::Node(v) => net.remove_node(v),
-                    FaultKind::AddNode(v) => {
-                        // Arrivals use the campaign's own init closure, so
-                        // a joining node starts exactly as it would have at
-                        // time zero. Stale ids are skipped (see FaultKind).
-                        if v as usize == net.n() {
-                            net.add_node((self.init)(v));
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    FaultKind::AddEdge(u, v) => net.add_edge(u, v),
-                };
-                if applied {
+                // Arrivals use the campaign's own init closure, so a
+                // joining node starts exactly as it would have at time
+                // zero.
+                if ev.kind.apply(&mut net, &self.init) {
                     trace.schedule.push(FaultEvent {
                         time: tick,
                         kind: ev.kind,

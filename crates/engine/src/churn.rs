@@ -554,34 +554,16 @@ pub fn run_churn_oracle_traced<P: Protocol, A: PartialEq, T: Tracer>(
         while cursor < events.len() && events[cursor].time <= round {
             let e = events[cursor];
             cursor += 1;
-            let applied = match e.kind {
-                FaultKind::Edge(u, v) => {
-                    let ok = net.remove_edge(u, v);
-                    departures += ok as u64;
-                    ok
-                }
-                FaultKind::Node(v) => {
-                    let ok = net.remove_node(v);
-                    departures += ok as u64;
-                    ok
-                }
-                FaultKind::AddNode(v) => {
-                    let fresh = v as usize == net.n();
-                    if fresh {
-                        net.add_node(init(v));
-                        arrivals += 1;
-                    }
-                    fresh
-                }
-                FaultKind::AddEdge(u, v) => {
-                    let ok = net.add_edge(u, v);
-                    arrivals += ok as u64;
-                    ok
-                }
-            };
-            if !applied {
+            if !e.kind.apply(net, &mut init) {
                 report.skipped += 1;
-            } else if trace {
+                continue;
+            }
+            if matches!(e.kind, FaultKind::AddNode(_) | FaultKind::AddEdge(..)) {
+                arrivals += 1;
+            } else {
+                departures += 1;
+            }
+            if trace {
                 tracer.fault(&FaultSurgery {
                     round,
                     kind: e.kind,

@@ -36,17 +36,50 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// The kind's tag (`edge`, `node`, `add-node`, `add-edge`) and its
+    /// endpoints as `(tag, u, v)`; `u` is present for the edge kinds only.
+    pub fn parts(&self) -> (&'static str, Option<NodeId>, NodeId) {
+        match *self {
+            FaultKind::Edge(u, v) => ("edge", Some(u), v),
+            FaultKind::Node(v) => ("node", None, v),
+            FaultKind::AddNode(v) => ("add-node", None, v),
+            FaultKind::AddEdge(u, v) => ("add-edge", Some(u), v),
+        }
+    }
+
+    /// Applies the event to `net` unless it is stale, and returns whether
+    /// it applied. Stale events are skipped: removing dead or missing
+    /// structure, an edge arrival at a dead endpoint or onto an existing
+    /// edge, and a node arrival whose id is not the next slot. An
+    /// arriving node starts in `init(v)`.
+    pub fn apply<P: Protocol>(
+        self,
+        net: &mut Network<P>,
+        init: impl FnOnce(NodeId) -> P::State,
+    ) -> bool {
+        match self {
+            FaultKind::Edge(u, v) => net.remove_edge(u, v),
+            FaultKind::Node(v) => net.remove_node(v),
+            FaultKind::AddNode(v) => {
+                let fresh = v as usize == net.n();
+                if fresh {
+                    net.add_node(init(v));
+                }
+                fresh
+            }
+            FaultKind::AddEdge(u, v) => net.add_edge(u, v),
+        }
+    }
+
     /// The trace-text fields for this kind, as written inside `fault` /
     /// `event` lines: `edge {u} {v}`, `node {v}`, `add-node {v}`,
     /// `add-edge {u} {v}`. The removal tags are the legacy
     /// `campaign-trace v1` vocabulary; the arrival tags extend it without
     /// disturbing old traces.
     pub fn to_trace_fields(&self) -> String {
-        match *self {
-            FaultKind::Edge(u, v) => format!("edge {u} {v}"),
-            FaultKind::Node(v) => format!("node {v}"),
-            FaultKind::AddNode(v) => format!("add-node {v}"),
-            FaultKind::AddEdge(u, v) => format!("add-edge {u} {v}"),
+        match self.parts() {
+            (tag, Some(u), v) => format!("{tag} {u} {v}"),
+            (tag, None, v) => format!("{tag} {v}"),
         }
     }
 
@@ -108,9 +141,10 @@ impl FaultPlan {
     }
 
     /// Applies every not-yet-applied fault with `time <= now`. Returns the
-    /// number of faults applied. Faults that name already-dead or stale
-    /// structure are silently skipped (a plan may kill a node and later
-    /// "kill" one of its edges). Arriving nodes start in
+    /// number of faults consumed, stale ones included: faults that name
+    /// already-dead or stale structure are silently skipped (a plan may
+    /// kill a node and later "kill" one of its edges; see
+    /// [`FaultKind::apply`]). Arriving nodes start in
     /// `P::State::from_index(0)`; use [`Self::apply_due_with`] to choose
     /// the initial state.
     pub fn apply_due<P: Protocol>(&mut self, net: &mut Network<P>, now: u64) -> usize {
@@ -127,23 +161,7 @@ impl FaultPlan {
     ) -> usize {
         let mut applied = 0;
         while self.cursor < self.events.len() && self.events[self.cursor].time <= now {
-            match self.events[self.cursor].kind {
-                FaultKind::Edge(u, v) => {
-                    net.remove_edge(u, v);
-                }
-                FaultKind::Node(v) => {
-                    net.remove_node(v);
-                }
-                FaultKind::AddNode(v) => {
-                    if v as usize == net.n() {
-                        let state = init(v);
-                        net.add_node(state);
-                    }
-                }
-                FaultKind::AddEdge(u, v) => {
-                    net.add_edge(u, v);
-                }
-            }
+            self.events[self.cursor].kind.apply(net, &mut init);
             self.cursor += 1;
             applied += 1;
         }

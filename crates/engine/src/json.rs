@@ -1,12 +1,11 @@
-//! A minimal JSON value model, parser, and writer.
-//!
-//! The workspace is dependency-free by policy (no serde), and the wire
-//! protocol only needs plain JSON trees: this module supplies the ~20%
-//! of a JSON library the service actually uses. Numbers are held as
-//! `f64`, which represents every integer a JavaScript client can emit
-//! exactly (|x| ≤ 2⁵³); DESIGN.md §12 documents that integer wire
-//! fields live in that range. Parsing is strict UTF-8 recursive descent
-//! with a depth cap so a hostile frame cannot blow the stack.
+//! The workspace's one JSON codec: a minimal value model, parser, and
+//! writer (no serde; the workspace is dependency-free by policy). Trace
+//! lines, bench records, the lint table and service frames are all built
+//! as [`Json`] trees and printed by the one [`fmt::Display`] impl. Numbers
+//! are held as `f64`, which represents every integer a JavaScript client
+//! can emit exactly (|x| ≤ 2⁵³); DESIGN.md §12 documents that integer
+//! wire fields live in that range. Parsing is strict UTF-8 recursive
+//! descent with a depth cap so a hostile frame cannot blow the stack.
 
 use std::fmt;
 
@@ -120,7 +119,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("]")
             }
@@ -131,7 +130,8 @@ impl fmt::Display for Json {
                         f.write_str(",")?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("}")
             }
@@ -139,20 +139,28 @@ impl fmt::Display for Json {
     }
 }
 
-/// Writes `s` as a JSON string literal with the mandatory escapes.
+/// Writes `s` as a JSON string literal with the mandatory escapes. Each
+/// unescaped run goes out in one `write_str`; every byte that needs an
+/// escape is ASCII, so the run boundaries are always char boundaries.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -375,8 +383,9 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let v = Json::Str("a\"b\\c\nd\tβ\u{1}\u{1F600}".into());
+        let v = Json::Str("a\"b\\c\nd\re\tβ\u{1}\u{1F600}".into());
         let text = v.to_string();
+        assert_eq!(text, "\"a\\\"b\\\\c\\nd\\re\\tβ\\u0001\u{1F600}\"");
         assert_eq!(Json::parse(&text).unwrap(), v);
         // Escaped input forms, including a surrogate pair.
         let parsed = Json::parse(r#""\u0041\n\ud83d\ude00""#).unwrap();

@@ -140,25 +140,6 @@ pub enum KernelPlan {
     Direct,
 }
 
-/// How [`CompiledKernel::with_schedule`] decides whether to run the
-/// dirty-set scheduler.
-///
-/// The dirty set is sound only for deterministic protocols
-/// (`P::RANDOMNESS <= 1`): a probabilistic node draws a fresh coin every
-/// round, so a "clean" node is *not* at a local fixpoint and skipping it
-/// would change the trajectory. That precondition is enforced with a
-/// hard check at kernel construction, not by convention.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DirtySchedule {
-    /// Use the dirty set iff the protocol is deterministic (the default).
-    Auto,
-    /// Require the dirty set; **panics** at construction if the protocol
-    /// is probabilistic.
-    Forced,
-    /// Re-evaluate every node every round regardless of determinism.
-    Disabled,
-}
-
 /// Per-evaluation-pass counters, folded into [`RoundMetrics`] by the
 /// traced steppers. All-zero when tracing is disabled (the hot loops
 /// skip the bookkeeping entirely).
@@ -420,17 +401,13 @@ pub struct CompiledKernel<P: Protocol> {
 }
 
 impl<P: Protocol> CompiledKernel<P> {
-    /// Compiles a kernel for the network's current topology and protocol,
-    /// with [`DirtySchedule::Auto`] scheduling.
+    /// Compiles a kernel for the network's current topology and protocol.
+    ///
+    /// The dirty-set scheduler runs iff the protocol is deterministic
+    /// (`P::RANDOMNESS <= 1`): a probabilistic node draws a fresh coin
+    /// every round, so a "clean" node is *not* at a local fixpoint and
+    /// skipping it would change the trajectory.
     pub fn new(net: &Network<P>) -> Self {
-        Self::with_schedule(net, DirtySchedule::Auto)
-    }
-
-    /// Compiles a kernel with an explicit scheduling policy. Panics if
-    /// `schedule` demands the dirty set for a probabilistic protocol —
-    /// the soundness precondition is `P::RANDOMNESS <= 1` (see
-    /// [`DirtySchedule`]).
-    pub fn with_schedule(net: &Network<P>, schedule: DirtySchedule) -> Self {
         let g = net.graph();
         let n = g.n_slots();
         let (full_offsets, targets) = g.csr_arrays();
@@ -441,20 +418,9 @@ impl<P: Protocol> CompiledKernel<P> {
         offsets.truncate(n);
         let alive: Vec<bool> = (0..n as NodeId).map(|v| g.is_alive(v)).collect();
         let eligible = (0..n).filter(|&i| alive[i] && row_len[i] > 0).count() as u64;
-        let deterministic = P::RANDOMNESS <= 1;
-        let use_dirty = match schedule {
-            DirtySchedule::Auto => deterministic,
-            DirtySchedule::Forced => true,
-            DirtySchedule::Disabled => false,
-        };
+        let use_dirty = P::RANDOMNESS <= 1;
         assert!(
-            !use_dirty || deterministic,
-            "dirty-set scheduling is unsound for probabilistic protocols \
-             (RANDOMNESS = {} > 1): skipped nodes would miss fresh coin draws",
-            P::RANDOMNESS
-        );
-        assert!(
-            P::FOLD.is_none() || deterministic,
+            P::FOLD.is_none() || use_dirty,
             "a support fold is declared on a probabilistic protocol \
              (RANDOMNESS = {} > 1): the fold ignores the coin",
             P::RANDOMNESS
@@ -1799,14 +1765,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dirty-set scheduling is unsound")]
-    fn forcing_dirty_set_on_probabilistic_protocol_panics() {
-        let g = generators::cycle(4);
-        let net = Network::new(&g, Flip, |_| Infect::Healthy);
-        let _ = CompiledKernel::with_schedule(&net, DirtySchedule::Forced);
-    }
-
-    #[test]
     #[should_panic(expected = "support fold is declared on a probabilistic protocol")]
     fn fold_on_probabilistic_protocol_panics() {
         struct CoinyFold;
@@ -1823,8 +1781,7 @@ mod tests {
         }
         let g = generators::cycle(4);
         let net = Network::new(&g, CoinyFold, |_| Infect::Healthy);
-        // Even with the dirty set off, the fold would ignore the coin.
-        let _ = CompiledKernel::with_schedule(&net, DirtySchedule::Disabled);
+        let _ = CompiledKernel::new(&net);
     }
 
     #[test]

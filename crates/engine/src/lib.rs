@@ -52,6 +52,9 @@
 //! * [`obs`] — the zero-cost-when-disabled observability layer: the
 //!   [`Tracer`] trait, per-round [`RoundMetrics`], and the built-in
 //!   [`Counters`] / [`JsonlTrace`] sinks.
+//! * [`json`] — the workspace's one JSON codec: the [`json::Json`] tree,
+//!   its parser, and the single writer every trace line, bench record and
+//!   service frame is printed through.
 //! * [`interp`] — run a table-level [`fssga_core::ProbFssga`] directly.
 //! * [`compile`] — protocol → mod-thresh FSSGA extraction.
 
@@ -69,6 +72,7 @@ pub mod compile;
 pub mod faults;
 pub mod history;
 pub mod interp;
+pub mod json;
 pub mod kernel;
 pub mod network;
 pub mod obs;
@@ -93,7 +97,7 @@ pub use churn::{
 };
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use history::History;
-pub use kernel::{CompiledKernel, DirtySchedule, KernelPlan};
+pub use kernel::{CompiledKernel, KernelPlan};
 pub use network::{Metrics, Network};
 pub use obs::{
     ChannelTrace, ChurnRoundMetrics, Counters, FaultSurgery, JsonlTrace, NullTracer, RoundLog,

@@ -23,7 +23,10 @@
 //!   [`RunMetrics`] summary (what [`crate::RunReport::metrics`] carries),
 //!   [`RoundLog`] keeps every event for tests, [`JsonlTrace`] streams a
 //!   replayable JSON-lines log (the `fssga-bench` / `fssga-chaos` CI
-//!   artifact), and [`Tee`] fans one event stream into two sinks.
+//!   artifact), [`ChannelTrace`] feeds `fssga-serve`'s frame stream, and
+//!   [`Tee`] fans one event stream into two sinks.
+//! * **One schema.** Each event's `to_jsonl` line is a [`crate::json`]
+//!   object; DESIGN.md §8 tables every `t` value and its fields.
 //!
 //! The per-round counters double as a cross-engine correctness oracle:
 //! the interpreter and the compiled kernel must agree bit-for-bit on the
@@ -36,6 +39,7 @@ use std::sync::mpsc::{SyncSender, TrySendError};
 use std::time::Duration;
 
 use crate::faults::FaultKind;
+use crate::json::{self, Json};
 use crate::runner::CancelToken;
 
 /// A sink for per-round engine events.
@@ -189,22 +193,21 @@ impl RoundMetrics {
         (self.round, self.eligible, self.changes, self.faults)
     }
 
-    /// One JSON-lines record (no trailing newline).
+    /// One JSON-lines record (no trailing newline; schema in DESIGN.md §8).
     pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"t\":\"round\",\"round\":{},\"eligible\":{},\"scheduled\":{},\
-             \"activations\":{},\"changes\":{},\"neighbor_reads\":{},\
-             \"tabular\":{},\"direct\":{},\"faults\":{}}}",
-            self.round,
-            self.eligible,
-            self.scheduled,
-            self.activations,
-            self.changes,
-            self.neighbor_reads,
-            self.tabular,
-            self.direct,
-            self.faults
-        )
+        json::obj(vec![
+            ("t", json::s("round")),
+            ("round", json::nu(self.round)),
+            ("eligible", json::nu(self.eligible)),
+            ("scheduled", json::nu(self.scheduled)),
+            ("activations", json::nu(self.activations)),
+            ("changes", json::nu(self.changes)),
+            ("neighbor_reads", json::nu(self.neighbor_reads)),
+            ("tabular", json::nu(self.tabular)),
+            ("direct", json::nu(self.direct)),
+            ("faults", json::nu(self.faults)),
+        ])
+        .to_string()
     }
 }
 
@@ -238,20 +241,19 @@ pub struct ShardRoundMetrics {
 }
 
 impl ShardRoundMetrics {
-    /// One JSON-lines record (no trailing newline).
+    /// One JSON-lines record (no trailing newline; schema in DESIGN.md §8).
     pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"t\":\"shard\",\"round\":{},\"shard\":{},\"shards\":{},\
-             \"scheduled\":{},\"activations\":{},\"changes\":{},\
-             \"neighbor_reads\":{}}}",
-            self.round,
-            self.shard,
-            self.shards,
-            self.scheduled,
-            self.activations,
-            self.changes,
-            self.neighbor_reads
-        )
+        json::obj(vec![
+            ("t", json::s("shard")),
+            ("round", json::nu(self.round)),
+            ("shard", json::nu(self.shard.into())),
+            ("shards", json::nu(self.shards.into())),
+            ("scheduled", json::nu(self.scheduled)),
+            ("activations", json::nu(self.activations)),
+            ("changes", json::nu(self.changes)),
+            ("neighbor_reads", json::nu(self.neighbor_reads)),
+        ])
+        .to_string()
     }
 }
 
@@ -293,31 +295,24 @@ pub struct ChurnRoundMetrics {
 }
 
 impl ChurnRoundMetrics {
-    /// One JSON-lines record (no trailing newline).
+    /// One JSON-lines record (no trailing newline; schema in DESIGN.md §8).
     pub fn to_jsonl(&self) -> String {
-        let recovered = match self.recovered_in {
-            Some(r) => r.to_string(),
-            None => "null".to_owned(),
-        };
-        let oracle = match self.oracle {
-            Some(true) => "true",
-            Some(false) => "false",
-            None => "null",
-        };
-        format!(
-            "{{\"t\":\"churn\",\"round\":{},\"arrivals\":{},\"departures\":{},\
-             \"alive\":{},\"edges\":{},\"activations\":{},\"changes\":{},\
-             \"recovered_in\":{},\"oracle\":{}}}",
-            self.round,
-            self.arrivals,
-            self.departures,
-            self.alive,
-            self.edges,
-            self.activations,
-            self.changes,
-            recovered,
-            oracle
-        )
+        json::obj(vec![
+            ("t", json::s("churn")),
+            ("round", json::nu(self.round)),
+            ("arrivals", json::nu(self.arrivals)),
+            ("departures", json::nu(self.departures)),
+            ("alive", json::nu(self.alive)),
+            ("edges", json::nu(self.edges)),
+            ("activations", json::nu(self.activations)),
+            ("changes", json::nu(self.changes)),
+            (
+                "recovered_in",
+                self.recovered_in.map_or(Json::Null, json::nu),
+            ),
+            ("oracle", self.oracle.map_or(Json::Null, Json::Bool)),
+        ])
+        .to_string()
     }
 }
 
@@ -332,26 +327,20 @@ pub struct FaultSurgery {
 }
 
 impl FaultSurgery {
-    /// One JSON-lines record (no trailing newline).
+    /// One JSON-lines record (no trailing newline; schema in DESIGN.md §8).
+    /// Edge kinds carry both endpoints `u` and `v`, node kinds only `v`.
     pub fn to_jsonl(&self) -> String {
-        match self.kind {
-            FaultKind::Edge(u, v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"edge\",\"u\":{u},\"v\":{v}}}",
-                self.round
-            ),
-            FaultKind::Node(v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"node\",\"v\":{v}}}",
-                self.round
-            ),
-            FaultKind::AddNode(v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"add-node\",\"v\":{v}}}",
-                self.round
-            ),
-            FaultKind::AddEdge(u, v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"add-edge\",\"u\":{u},\"v\":{v}}}",
-                self.round
-            ),
+        let (tag, u, v) = self.kind.parts();
+        let mut fields = vec![
+            ("t", json::s("fault")),
+            ("round", json::nu(self.round)),
+            ("kind", json::s(tag)),
+        ];
+        if let Some(u) = u {
+            fields.push(("u", json::nu(u.into())));
         }
+        fields.push(("v", json::nu(v.into())));
+        json::obj(fields).to_string()
     }
 }
 
@@ -469,8 +458,8 @@ impl Tracer for RoundLog {
     }
 }
 
-/// A streaming JSON-lines sink: one `{"t":"round",...}` object per round
-/// and one `{"t":"fault",...}` per surgery, in event order — the
+/// A streaming JSON-lines sink: one `to_jsonl` line per event (`round`,
+/// `shard`, `churn` and `fault`; see DESIGN.md §8), in event order — the
 /// replayable trace artifact `fssga-bench --trace-out` and
 /// `fssga-chaos --trace-out` upload from CI.
 #[derive(Debug)]
@@ -562,7 +551,9 @@ impl ChannelTrace {
         self.lost
     }
 
-    fn push(&mut self, mut line: String) {
+    /// Sends one line under the flow control described on the type (the
+    /// tracer hooks, and `fssga-serve`'s final `done`/`error` lines).
+    pub fn send(&mut self, mut line: String) {
         loop {
             match self.tx.try_send(line) {
                 Ok(()) => return,
@@ -588,19 +579,19 @@ impl ChannelTrace {
 
 impl Tracer for ChannelTrace {
     fn round(&mut self, metrics: &RoundMetrics) {
-        self.push(metrics.to_jsonl());
+        self.send(metrics.to_jsonl());
     }
 
     fn fault(&mut self, surgery: &FaultSurgery) {
-        self.push(surgery.to_jsonl());
+        self.send(surgery.to_jsonl());
     }
 
     fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        self.push(metrics.to_jsonl());
+        self.send(metrics.to_jsonl());
     }
 
     fn churn_round(&mut self, metrics: &ChurnRoundMetrics) {
-        self.push(metrics.to_jsonl());
+        self.send(metrics.to_jsonl());
     }
 }
 
@@ -656,6 +647,32 @@ mod tests {
             tabular: 3,
             direct: 0,
             faults: 1,
+        }
+    }
+
+    fn shard_sample() -> ShardRoundMetrics {
+        ShardRoundMetrics {
+            round: 2,
+            shard: 1,
+            shards: 4,
+            scheduled: 8,
+            activations: 7,
+            changes: 3,
+            neighbor_reads: 21,
+        }
+    }
+
+    fn churn_sample() -> ChurnRoundMetrics {
+        ChurnRoundMetrics {
+            round: 9,
+            arrivals: 2,
+            departures: 1,
+            alive: 40,
+            edges: 77,
+            activations: 6,
+            changes: 3,
+            recovered_in: Some(4),
+            oracle: Some(true),
         }
     }
 
@@ -726,6 +743,85 @@ mod tests {
         );
     }
 
+    /// The event schema (DESIGN.md §8) as a table: every line shape
+    /// parses, and each field reads back equal to the struct it came from.
+    #[test]
+    fn every_event_shape_parses_back_to_its_fields() {
+        let n = |x: u64| Json::Num(x as f64);
+        let (r, s) = (sample(7), shard_sample());
+        let churn = |recovered_in, oracle| {
+            let c = ChurnRoundMetrics {
+                recovered_in,
+                oracle,
+                ..churn_sample()
+            };
+            let fields = vec![
+                ("t", json::s("churn")),
+                ("round", n(c.round)),
+                ("arrivals", n(c.arrivals)),
+                ("departures", n(c.departures)),
+                ("alive", n(c.alive)),
+                ("edges", n(c.edges)),
+                ("activations", n(c.activations)),
+                ("changes", n(c.changes)),
+                ("recovered_in", recovered_in.map_or(Json::Null, n)),
+                ("oracle", oracle.map_or(Json::Null, Json::Bool)),
+            ];
+            (c.to_jsonl(), fields)
+        };
+        let fault = |kind, tag, u: Option<u64>, v| {
+            let mut fields = vec![
+                ("t", json::s("fault")),
+                ("round", n(3)),
+                ("kind", json::s(tag)),
+            ];
+            fields.extend(u.map(|u| ("u", n(u))));
+            fields.push(("v", n(v)));
+            (FaultSurgery { round: 3, kind }.to_jsonl(), fields)
+        };
+        let cases = [
+            (
+                r.to_jsonl(),
+                vec![
+                    ("t", json::s("round")),
+                    ("round", n(r.round)),
+                    ("eligible", n(r.eligible)),
+                    ("scheduled", n(r.scheduled)),
+                    ("activations", n(r.activations)),
+                    ("changes", n(r.changes)),
+                    ("neighbor_reads", n(r.neighbor_reads)),
+                    ("tabular", n(r.tabular)),
+                    ("direct", n(r.direct)),
+                    ("faults", n(r.faults)),
+                ],
+            ),
+            (
+                s.to_jsonl(),
+                vec![
+                    ("t", json::s("shard")),
+                    ("round", n(s.round)),
+                    ("shard", n(s.shard.into())),
+                    ("shards", n(s.shards.into())),
+                    ("scheduled", n(s.scheduled)),
+                    ("activations", n(s.activations)),
+                    ("changes", n(s.changes)),
+                    ("neighbor_reads", n(s.neighbor_reads)),
+                ],
+            ),
+            churn(Some(4), Some(true)),
+            churn(Some(0), Some(false)),
+            churn(None, None),
+            fault(FaultKind::Edge(1, 2), "edge", Some(1), 2),
+            fault(FaultKind::Node(9), "node", None, 9),
+            fault(FaultKind::AddNode(12), "add-node", None, 12),
+            fault(FaultKind::AddEdge(3, 12), "add-edge", Some(3), 12),
+        ];
+        for (line, fields) in cases {
+            let parsed = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(parsed, json::obj(fields), "{line}");
+        }
+    }
+
     #[test]
     fn jsonl_sink_streams_events_in_order() {
         let mut sink = JsonlTrace::new(Vec::new());
@@ -755,17 +851,8 @@ mod tests {
 
     #[test]
     fn jsonl_shard_format_is_stable() {
-        let s = ShardRoundMetrics {
-            round: 2,
-            shard: 1,
-            shards: 4,
-            scheduled: 8,
-            activations: 7,
-            changes: 3,
-            neighbor_reads: 21,
-        };
         assert_eq!(
-            s.to_jsonl(),
+            shard_sample().to_jsonl(),
             "{\"t\":\"shard\",\"round\":2,\"shard\":1,\"shards\":4,\
              \"scheduled\":8,\"activations\":7,\"changes\":3,\
              \"neighbor_reads\":21}"
@@ -806,17 +893,7 @@ mod tests {
 
     #[test]
     fn jsonl_churn_format_is_stable() {
-        let c = ChurnRoundMetrics {
-            round: 9,
-            arrivals: 2,
-            departures: 1,
-            alive: 40,
-            edges: 77,
-            activations: 6,
-            changes: 3,
-            recovered_in: Some(4),
-            oracle: Some(true),
-        };
+        let c = churn_sample();
         assert_eq!(
             c.to_jsonl(),
             "{\"t\":\"churn\",\"round\":9,\"arrivals\":2,\"departures\":1,\

@@ -138,19 +138,11 @@ impl FaultInjector {
             }
             pick?
         };
-        match kind {
-            FaultKind::Edge(u, v) => {
-                net.remove_edge(u, v);
-            }
-            FaultKind::Node(v) => {
-                net.remove_node(v);
-            }
-            // The injector models the paper's decreasing faults; it never
-            // picks arrivals (`pick` above only constructs removals).
-            FaultKind::AddNode(_) | FaultKind::AddEdge(_, _) => {
-                unreachable!("fault injector generates removals only")
-            }
-        }
+        // The injector models the paper's decreasing faults: `pick` above
+        // only constructs removals, so no arriving node needs a state.
+        kind.apply(net, |_| {
+            unreachable!("fault injector generates removals only")
+        });
         self.injected += 1;
         Some(kind)
     }

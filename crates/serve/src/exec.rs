@@ -74,8 +74,9 @@ impl JobCancel {
 }
 
 /// FNV-1a over final state indices — the cross-run bit-identity
-/// witness carried by `done` frames (same function as the bench
-/// harness's, so service results check against recorded baselines).
+/// witness carried by `done` frames. `fssga-bench` uses it as its
+/// cross-engine witness too, so service results check against recorded
+/// baselines.
 pub fn fingerprint(indices: impl Iterator<Item = usize>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for i in indices {

@@ -13,8 +13,8 @@
 //! layout mirrors its sections:
 //!
 //! * [`wire`] — framing: 4-byte big-endian length + UTF-8 JSON.
-//! * [`json`] — the dependency-free JSON tree (the workspace has no
-//!   serde by policy).
+//! * [`json`] — the engine's JSON tree ([`fssga_engine::json`]),
+//!   re-exported: frames, trace lines and bench records share one writer.
 //! * [`job`] — the job schema, server [`job::Limits`], and the closed
 //!   set of [`job::codes`] error codes.
 //! * [`exec`] — the protocol registry and the [`exec::JobCancel`]
@@ -36,13 +36,13 @@
 
 pub mod exec;
 pub mod job;
-pub mod json;
 pub mod pool;
 pub mod server;
 pub mod watchdog;
 pub mod wire;
 
 pub use exec::{census_sketch, execute, fingerprint, JobCancel};
+pub use fssga_engine::json;
 pub use job::{codes, ChurnSpec, GraphSpec, JobError, JobKind, JobSpec, Limits, Proto};
 pub use json::Json;
 pub use pool::{JobQueue, QueuedJob, WorkerPool};

@@ -15,10 +15,12 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+use fssga_engine::ChannelTrace;
 
 use crate::exec::{self, JobCancel};
 use crate::job::{codes, JobError, JobSpec};
@@ -169,30 +171,13 @@ fn worker_loop(queue: &JobQueue, watchdog: &Watchdog) {
             Ok(done) => done,
             Err(e) => e.to_jsonl(job.id),
         };
-        send_final(&job.tx, line, &job.cancel);
+        // Same cancellation-aware retry as the streamed frames: a
+        // stalled client cannot wedge the worker on its final line.
+        ChannelTrace::with_cancel(job.tx.clone(), job.cancel.token().clone()).send(line);
         watchdog.unwatch(job.id);
         // Dropping `job` here drops the worker's `tx`; once the tracer
         // clones inside `execute` are gone too, the connection's
         // receiver disconnects and its writer loop finishes.
-    }
-}
-
-/// Delivers the final `done`/`error` line without wedging the worker:
-/// bounded-channel pressure is retried until the job's cancel handle
-/// fires (client gone or wall deadline), then the line is dropped.
-fn send_final(tx: &SyncSender<String>, mut line: String, cancel: &JobCancel) {
-    loop {
-        match tx.try_send(line) {
-            Ok(()) => return,
-            Err(TrySendError::Full(l)) => {
-                if cancel.token().is_cancelled() {
-                    return;
-                }
-                line = l;
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(TrySendError::Disconnected(_)) => return,
-        }
     }
 }
 
@@ -202,6 +187,7 @@ mod tests {
     use crate::job::Limits;
     use crate::json::Json;
     use std::sync::mpsc::sync_channel;
+    use std::time::Duration;
 
     fn tiny_spec() -> JobSpec {
         JobSpec::parse(
@@ -258,14 +244,5 @@ mod tests {
         q.close();
         pool.join();
         watchdog.stop();
-    }
-
-    #[test]
-    fn final_frame_is_dropped_not_wedged_when_cancelled() {
-        let (tx, _rx) = sync_channel(1);
-        tx.send("occupying the only slot".into()).unwrap();
-        let cancel = JobCancel::new();
-        cancel.fire(codes::BUDGET_WALL);
-        send_final(&tx, "late line".into(), &cancel); // must return promptly
     }
 }
