@@ -23,7 +23,8 @@
 //! `--churn-out` emits), replays it twice against the 8x8 smoke torus —
 //! census on the compiled kernel, continuous structural oracle every
 //! round — and fails unless the two runs agree bit-for-bit (reports and
-//! final states) with zero oracle failures.
+//! final states) with zero oracle failures. A stream whose horizon
+//! exceeds [`MAX_REPLAY_ROUNDS`] is rejected before any round runs.
 
 use fssga_engine::campaign::{Campaign, RunPolicy};
 use fssga_engine::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -37,6 +38,11 @@ use fssga_graph::{generators, DynGraph, Graph, NodeId};
 use fssga_protocols::census::{Census, FmSketch};
 use fssga_protocols::shortest_paths::{labels_as_distances, ShortestPaths};
 use fssga_protocols::synchronizer::BetaSynchronizer;
+
+/// Largest churn-stream horizon `--churn-replay` accepts: the horizon
+/// comes from the input file, and the replay runs every round of it
+/// twice.
+const MAX_REPLAY_ROUNDS: u64 = 1_000_000;
 
 const POLICIES: [RunPolicy; 4] = [
     RunPolicy::Sync,
@@ -189,6 +195,14 @@ fn churn_replay(path: &str, seed: u64) -> u32 {
             return 1;
         }
     };
+    if stream.horizon() > MAX_REPLAY_ROUNDS {
+        eprintln!(
+            "fssga-chaos: churn stream in {path} has horizon {}, above the replay bound of \
+             {MAX_REPLAY_ROUNDS} rounds",
+            stream.horizon()
+        );
+        return 1;
+    }
     let (ra, fa) = churn_run(&stream, seed);
     let (rb, fb) = churn_run(&stream, seed);
     let deterministic = ra == rb && fa == fb;

@@ -1,7 +1,6 @@
 //! Ablation benches for the engine design decisions called out in
-//! DESIGN.md: the compiled kernel at 1-8 threads (the sharded backend),
-//! interpreted mod-thresh tables vs native Rust transitions, and the
-//! compiled kernel vs the interpreter (see `fssga-bench engine` for the
+//! DESIGN.md: interpreted mod-thresh tables vs native Rust transitions,
+//! and the compiled kernel vs the interpreter (see `fssga-bench engine` for the
 //! recorded large-n baseline).
 
 use fssga_bench::harness::harness_from_args;
@@ -20,24 +19,6 @@ fn main() {
     h.bench("engine/sync-round-16k-nodes/interpreter", || {
         net.sync_step(&mut rng)
     });
-    // The sharded kernel from a fresh network to its fixpoint: early
-    // rounds schedule every node (wide enough to wake the pool), late
-    // ones only the dirty frontier.
-    for threads in [1usize, 2, 4, 8] {
-        h.bench(
-            &format!("engine/coloring-fixpoint-16k/kernel-threads/{threads}"),
-            || {
-                let mut net = Network::new(&g, TwoColoring, |v| TwoColoring::init(v == 0));
-                Runner::new(&mut net)
-                    .engine(Engine::Kernel)
-                    .threads(threads)
-                    .budget(Budget::Fixpoint(10 * 128 * 128))
-                    .run()
-                    .fixpoint
-                    .expect("stabilizes")
-            },
-        );
-    }
 
     let g = generators::grid(32, 32);
     let auto = compile_protocol(&TwoColoring, 1 << 16).unwrap();

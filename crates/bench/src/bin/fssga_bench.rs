@@ -5,8 +5,6 @@
 //! fssga-bench engine --smoke          # tiny workloads, CI sanity only
 //! fssga-bench engine --out path.json
 //! fssga-bench engine --trace-out t.jsonl   # also emit a JSONL round trace
-//! fssga-bench parallel                # thread-scaling baseline, BENCH_parallel.json
-//! fssga-bench parallel --smoke [--out PATH] [--trace-out PATH]
 //! fssga-bench golden [--out path.jsonl]    # regenerate the metrics snapshot
 //! fssga-bench golden --check [--out path]  # diff against the recorded snapshot
 //! fssga-bench churn                   # streaming-churn baseline, BENCH_churn.json
@@ -321,206 +319,6 @@ fn engine_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
     );
 }
 
-/// Thread counts recorded by the `parallel` baseline.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Kernel wall times for one workload across [`THREAD_COUNTS`].
-struct ParRow {
-    name: String,
-    n: usize,
-    rounds: usize,
-    reps: usize,
-    /// Median kernel wall time per entry of [`THREAD_COUNTS`].
-    median_ns: Vec<f64>,
-}
-
-impl ParRow {
-    fn to_json(&self) -> Json {
-        let t1 = self.median_ns[0];
-        json::obj(vec![
-            ("name", json::s(&self.name)),
-            ("n", json::nu(self.n as u64)),
-            ("rounds", json::nu(self.rounds as u64)),
-            ("reps", json::nu(self.reps as u64)),
-            (
-                "median_ns",
-                Json::Arr(self.median_ns.iter().map(|&t| fixed(t, 0)).collect()),
-            ),
-            (
-                "speedup_vs_1",
-                Json::Arr(self.median_ns.iter().map(|&t| fixed(t1 / t, 2)).collect()),
-            ),
-        ])
-    }
-}
-
-/// Times `reps` sharded fixpoint runs per thread count. `run(threads)`
-/// must build a fresh network, run it to fixpoint on the sharded
-/// engine, and return (fixpoint round, final-state fingerprint); the
-/// fingerprint is asserted identical across thread counts — the bench
-/// re-proves the bit-identity contract on every recorded workload.
-fn parallel_workload(
-    name: &str,
-    n: usize,
-    reps: usize,
-    mut run: impl FnMut(usize) -> (usize, u64),
-) -> ParRow {
-    let mut median_ns = Vec::with_capacity(THREAD_COUNTS.len());
-    let mut rounds = 0;
-    let mut base_fingerprint = None;
-    for &threads in &THREAD_COUNTS {
-        let mut times_ns = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            let (r, f) = run(threads);
-            times_ns.push(t.elapsed().as_nanos() as f64);
-            rounds = r;
-            match base_fingerprint {
-                None => base_fingerprint = Some(f),
-                Some(b) => assert_eq!(b, f, "{name}: {threads} threads diverged"),
-            }
-        }
-        median_ns.push(Timing { times_ns, rounds }.median_ns());
-    }
-    ParRow {
-        name: name.to_string(),
-        n,
-        rounds,
-        reps,
-        median_ns,
-    }
-}
-
-fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
-    use fssga_engine::StateSpace;
-    use fssga_graph::generators;
-    let (side, pa_n, reps) = if smoke {
-        (32, 2_000, 1)
-    } else {
-        (224, 50_000, 5)
-    };
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let torus = generators::torus(side, side);
-    let mut rng = Xoshiro256::seed_from_u64(DEFAULT_SEED);
-    let powerlaw = generators::preferential_attachment(pa_n, 4, &mut rng);
-    println!(
-        "parallel baseline: torus {side}x{side} (n = {}) + power-law (n = {pa_n}), \
-         {reps} rep(s) x threads {THREAD_COUNTS:?}, host has {host_cpus} cpu(s)",
-        torus.n()
-    );
-
-    fn census_run<'a>(
-        g: &'a Graph,
-        sketches: &'a [FmSketch<16>],
-    ) -> impl FnMut(usize) -> (usize, u64) + 'a {
-        use fssga_engine::StateSpace;
-        move |threads: usize| {
-            let mut net = Network::new(g, Census::<16>, |v| sketches[v as usize]);
-            let report = Runner::new(&mut net)
-                .engine(Engine::Kernel)
-                .threads(threads)
-                .budget(Budget::Fixpoint(10 * g.n()))
-                .run();
-            (
-                report.fixpoint.expect("census converges"),
-                fingerprint(net.states().iter().map(|s| s.index())),
-            )
-        }
-    }
-    let mut rng = Xoshiro256::seed_from_u64(DEFAULT_SEED);
-    let torus_sketches: Vec<FmSketch<16>> = (0..torus.n())
-        .map(|_| FmSketch::random_init(&mut rng))
-        .collect();
-    let mut rng = Xoshiro256::seed_from_u64(DEFAULT_SEED ^ 1);
-    let pa_sketches: Vec<FmSketch<16>> = (0..powerlaw.n())
-        .map(|_| FmSketch::random_init(&mut rng))
-        .collect();
-    const CAP: usize = 256;
-    let sp_run = |threads: usize| {
-        let mut net = Network::new(&torus, ShortestPaths::<CAP>, |v| {
-            ShortestPaths::<CAP>::init(v == 0)
-        });
-        let report = Runner::new(&mut net)
-            .engine(Engine::Kernel)
-            .threads(threads)
-            .budget(Budget::Fixpoint(8 * CAP))
-            .run();
-        (
-            report.fixpoint.expect("relaxation converges"),
-            fingerprint(net.states().iter().map(|s| s.index())),
-        )
-    };
-
-    let rows = [
-        parallel_workload(
-            &format!("census/torus-{side}x{side}"),
-            torus.n(),
-            reps,
-            census_run(&torus, &torus_sketches),
-        ),
-        parallel_workload(
-            &format!("shortest-paths/torus-{side}x{side}"),
-            torus.n(),
-            reps,
-            sp_run,
-        ),
-        parallel_workload(
-            &format!("census/powerlaw-{pa_n}"),
-            powerlaw.n(),
-            reps,
-            census_run(&powerlaw, &pa_sketches),
-        ),
-    ];
-    for row in &rows {
-        let cols: Vec<String> = THREAD_COUNTS
-            .iter()
-            .zip(&row.median_ns)
-            .map(|(t, &ns)| format!("t{t} {:>10}", fmt_ns(ns)))
-            .collect();
-        println!(
-            "{:<28} n={:<6} rounds={:<4} {}  speedup@4t {:.2}x",
-            row.name,
-            row.n,
-            row.rounds,
-            cols.join(" "),
-            row.median_ns[0] / row.median_ns[2]
-        );
-    }
-    // One observed, traced run at the top thread count: the JSONL stream
-    // carries per-shard events, and must be byte-deterministic (the
-    // committing thread emits shard lines in ascending shard order).
-    if let Some(path) = trace_out {
-        let f = std::io::BufWriter::new(std::fs::File::create(path).expect("create trace"));
-        let mut sink = fssga_engine::JsonlTrace::new(f);
-        let mut net = Network::new(&torus, Census::<16>, |v| torus_sketches[v as usize]);
-        Runner::new(&mut net)
-            .engine(Engine::Kernel)
-            .threads(*THREAD_COUNTS.last().unwrap())
-            .budget(Budget::Fixpoint(10 * torus.n()))
-            .observed()
-            .tracer(&mut sink)
-            .run();
-        sink.into_inner().flush().expect("flush trace");
-        println!("wrote {path}");
-    }
-    write_json(
-        out,
-        json::obj(vec![
-            ("bench", json::s("parallel")),
-            ("smoke", Json::Bool(smoke)),
-            ("host_cpus", json::nu(host_cpus as u64)),
-            (
-                "threads",
-                Json::Arr(THREAD_COUNTS.iter().map(|&t| json::nu(t as u64)).collect()),
-            ),
-            (
-                "workloads",
-                Json::Arr(rows.iter().map(ParRow::to_json).collect()),
-            ),
-        ]),
-    );
-}
-
 /// Deterministic sketch for a node id, shared by every replay of the
 /// same stream so arriving nodes start identically everywhere.
 fn churn_sketch(v: NodeId) -> FmSketch<16> {
@@ -753,7 +551,7 @@ fn serve_submit(target: &str, spec_json: &str, capture: bool) -> Result<ServeJob
             }
             match v.get("t").and_then(Json::as_str) {
                 Some("accepted") => {}
-                Some("round") | Some("shard") | Some("churn") | Some("fault") => round_frames += 1,
+                Some("round") | Some("churn") | Some("fault") => round_frames += 1,
                 Some("done") => {
                     let fingerprint = v
                         .get("fingerprint")
@@ -965,10 +763,6 @@ fn main() {
             let out = flag("--out").unwrap_or_else(|| "BENCH_engine.json".to_string());
             engine_baseline(smoke, &out, trace_out.as_deref());
         }
-        Some("parallel") => {
-            let out = flag("--out").unwrap_or_else(|| "BENCH_parallel.json".to_string());
-            parallel_baseline(smoke, &out, trace_out.as_deref());
-        }
         Some("golden") => {
             let out = flag("--out")
                 .unwrap_or_else(|| "tests/golden/census_path16_metrics.jsonl".to_string());
@@ -996,7 +790,6 @@ fn main() {
         other => {
             eprintln!(
                 "usage: fssga-bench engine [--smoke] [--out PATH] [--trace-out PATH]\n\
-                 \x20      fssga-bench parallel [--smoke] [--out PATH] [--trace-out PATH]\n\
                  \x20      fssga-bench golden [--check] [--out PATH]\n\
                  \x20      fssga-bench churn [--smoke] [--out PATH] [--trace-out PATH]\n\
                  \x20      fssga-bench serve [--smoke] [--out PATH] [--addr HOST:PORT] \

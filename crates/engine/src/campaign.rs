@@ -200,7 +200,7 @@ pub struct CampaignOutcome<A> {
 /// The answer-extraction half of a campaign's oracle: reads the final
 /// answer off the surviving network, `None` when inconclusive.
 ///
-/// `Send + Sync` so a `&Campaign` can be shared across the worker pool
+/// `Send + Sync` so a `&Campaign` can be shared across the probe threads
 /// by [`Campaign::sweep_parallel`] — campaign oracles are pure functions
 /// of their arguments plus immutable captures, so the bounds cost
 /// nothing in practice.

@@ -59,31 +59,14 @@
 //! rounds of ~2 activations each, and scanning all `n/64` words every
 //! one of those rounds made it 2x slower.
 //!
-//! The same round body also runs **sharded**: node ids are split into
-//! contiguous, degree-weighted shards
-//! ([`fssga_graph::Partition`]), each shard evaluates into its own
-//! arena (pending buffer, scratch vector, counters — no contention on
-//! any global structure), and the committing thread concatenates arenas
-//! in ascending shard order. Because shards are contiguous and the
-//! drained dirty set is ascending, that concatenation *is* the sequential
-//! evaluation order, and coins come from
-//! [`round_coin`]`(round_seed, v, r)` — never from thread interleaving —
-//! so results are bit-identical to the inline round for any thread
-//! count. Threads come from a persistent [`crate::ShardPool`], parked
-//! between rounds; [`CompiledKernel::step`] without a pool (or with
-//! a 1-thread pool, or a worklist below `SHARD_MIN_WORK`) evaluates the
-//! same worklist inline.
-
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::Mutex;
 
-use fssga_graph::{NodeId, Partition};
+use fssga_graph::NodeId;
 
 use crate::network::{round_coin, Metrics, Network};
-use crate::obs::{RoundMetrics, ShardRoundMetrics, Tracer};
+use crate::obs::{RoundMetrics, Tracer};
 use crate::packed::PackedStates;
-use crate::pool::ShardPool;
 use crate::protocol::{Protocol, StateSpace};
 use crate::view::{NeighborView, QueryRecorder};
 
@@ -100,12 +83,6 @@ const ENTRY_BUDGET: u64 = 1 << 22;
 /// How many times table construction re-runs bound discovery before
 /// giving up on the tabular plan.
 const DISCOVERY_ROUNDS: usize = 8;
-
-/// Smallest worklist worth waking the shard pool for. Below this a
-/// round evaluates inline on the calling thread (same canonical order,
-/// so the trajectory is unchanged — sparse late rounds just skip the
-/// wakeup latency).
-const SHARD_MIN_WORK: usize = 256;
 
 /// Rows up to this length are reduced by insertion sort (branch-light,
 /// no recursion) before run-length encoding; longer rows use
@@ -303,9 +280,8 @@ enum Plan {
 /// Reusable per-evaluator buffers for the packed hot loop: the gathered
 /// row (`row`), its run-length encoding (`idx`/`cnt`), and the dense
 /// fallback tally (`scratch`, lazily sized to `|Q|`; `touched` lists its
-/// nonzero indices). One set lives on the kernel for sequential steps
-/// and one in each shard arena — never shared, never reallocated on the
-/// hot path.
+/// nonzero indices). One set lives on the kernel, never reallocated on
+/// the hot path.
 #[derive(Default)]
 struct EvalBufs {
     row: Vec<u32>,
@@ -313,36 +289,6 @@ struct EvalBufs {
     cnt: Vec<u32>,
     scratch: Vec<u32>,
     touched: Vec<u32>,
-}
-
-/// Read-only slice view of the plan, shareable across worker threads.
-enum PlanRef<'a> {
-    Tabular(&'a Tables),
-    /// Workers bring their own scratch.
-    Direct,
-}
-
-/// One shard's private evaluation workspace. Shards write *only* here
-/// during the parallel phase — the global dirty set and pending buffer
-/// are touched exclusively by the committing thread.
-struct ShardArena<P: Protocol> {
-    /// This shard's proposed `(node, new state)` writes, in node order.
-    out: Vec<(NodeId, P::State)>,
-    /// This shard's private evaluation buffers.
-    bufs: EvalBufs,
-    /// This shard's evaluation counters for the round.
-    stats: EvalStats,
-}
-
-/// The sharded-execution state: a degree-weighted contiguous partition
-/// plus one arena per shard. Built lazily on the first sharded step and
-/// rebuilt when the shard count changes. Fault surgeries do *not*
-/// trigger a rebuild — a stale partition only costs balance, never
-/// correctness, because dead nodes and shrunken rows are skipped by the
-/// evaluator itself.
-struct Sharding<P: Protocol> {
-    partition: Partition,
-    arenas: Vec<Mutex<ShardArena<P>>>,
 }
 
 /// The compiled execution engine for one [`Network`].
@@ -394,9 +340,6 @@ pub struct CompiledKernel<P: Protocol> {
     packed_stale: bool,
     /// Sequential-step evaluation buffers.
     bufs: EvalBufs,
-    /// Sharded-execution state (partition + per-shard arenas), built on
-    /// the first sharded step.
-    sharding: Option<Sharding<P>>,
     _protocol: PhantomData<fn() -> P>,
 }
 
@@ -444,7 +387,6 @@ impl<P: Protocol> CompiledKernel<P> {
             packed: PackedStates::encode(net.states()),
             packed_stale: false,
             bufs: EvalBufs::default(),
-            sharding: None,
             _protocol: PhantomData,
         }
     }
@@ -590,8 +532,6 @@ impl<P: Protocol> CompiledKernel<P> {
     /// arrivals are skipped — the same contract as
     /// [`crate::FaultKind::AddNode`]). The new row starts with zero
     /// capacity; its first edge allocates via [`Self::grow_row`].
-    /// Invalidates the sharded partition, which only covers the id space
-    /// it was built over.
     pub(crate) fn on_node_added(&mut self, v: NodeId, state: P::State) {
         let vi = v as usize;
         if vi != self.row_len.len() {
@@ -605,7 +545,6 @@ impl<P: Protocol> CompiledKernel<P> {
         self.packed.push(state.index() as u32);
         // Degree 0: not eligible, nothing to schedule until an edge
         // arrives and on_edge_added marks it dirty.
-        self.sharding = None;
     }
 
     /// Appends `target` to `v`'s CSR row, if absent. Returns whether an
@@ -815,29 +754,21 @@ impl<P: Protocol> CompiledKernel<P> {
     /// body. Returns the number of nodes whose state changed; updates
     /// `metrics` (one round, `evaluated` activations, `changed` changes).
     ///
-    /// With a `pool` of more than one thread and at least
-    /// `SHARD_MIN_WORK` scheduled nodes, the worklist is evaluated sharded
-    /// over the pool; otherwise it is evaluated inline on the calling
-    /// thread. Bit-identical either way: shards are contiguous id ranges of
-    /// the ascending worklist, coins derive from `(round_seed, v)`, and
-    /// per-shard updates are committed in ascending shard order (= node
-    /// order).
+    /// The worklist (the drained dirty set, or every node) is evaluated
+    /// in ascending id order against the frozen `states`, and the changes
+    /// are committed afterwards, so every node reads its neighbours'
+    /// round-`t` states. Coins derive from `(round_seed, v)`.
     ///
-    /// When `tracer` is enabled, one [`ShardRoundMetrics`] per shard (only
-    /// when the pool actually ran) is emitted in ascending shard order
-    /// *before* the round's [`RoundMetrics`] — always from the committing
-    /// thread, so sinks never see interleaved events. With
-    /// [`crate::NullTracer`] the bookkeeping monomorphizes away. `faults`
-    /// is the number of fault surgeries applied since the previous traced
-    /// round, forwarded into the event.
-    #[allow(clippy::too_many_arguments)]
+    /// When `tracer` is enabled, the round's [`RoundMetrics`] is emitted
+    /// after the commit. With [`crate::NullTracer`] the bookkeeping
+    /// monomorphizes away. `faults` is the number of fault surgeries
+    /// applied since the previous traced round, forwarded into the event.
     pub fn step<T: Tracer>(
         &mut self,
         protocol: &P,
         states: &mut [P::State],
         metrics: &mut Metrics,
         round_seed: u64,
-        pool: Option<&mut ShardPool>,
         tracer: &mut T,
         faults: u64,
     ) -> usize {
@@ -847,109 +778,31 @@ impl<P: Protocol> CompiledKernel<P> {
         // This round's work: the drained dirty set, or every node.
         let work = self.use_dirty.then(|| self.dirty.drain());
         let scheduled = work.as_ref().map_or(self.eligible, |w| w.len() as u64);
-        let work_len = work.as_ref().map_or(self.row_len.len(), |w| w.len());
-
-        let mut per_shard: Vec<ShardRoundMetrics> = Vec::new();
-        let stats = match pool.filter(|p| p.threads() > 1 && work_len >= SHARD_MIN_WORK) {
-            // No pool, or not worth waking it: evaluate inline, in the
-            // same canonical order, producing the identical trajectory.
-            None => match (&work, trace) {
-                (Some(w), true) => {
-                    self.eval_nodes::<true>(protocol, states, w.iter().copied(), round_seed)
-                }
-                (Some(w), false) => {
-                    self.eval_nodes::<false>(protocol, states, w.iter().copied(), round_seed)
-                }
-                (None, true) => self.eval_nodes::<true>(
-                    protocol,
-                    states,
-                    0..self.row_len.len() as NodeId,
-                    round_seed,
-                ),
-                (None, false) => self.eval_nodes::<false>(
-                    protocol,
-                    states,
-                    0..self.row_len.len() as NodeId,
-                    round_seed,
-                ),
-            },
-            Some(pool) => {
-                let shards = pool.threads();
-                self.ensure_sharding(shards);
-                let sharding = self.sharding.as_ref().expect("just ensured");
-                let split = match &work {
-                    Some(w) => ShardWork::Slices(split_by_partition(w, &sharding.partition)),
-                    None => ShardWork::Ranges(&sharding.partition),
-                };
-                let csr = CsrRef {
-                    offsets: &self.offsets,
-                    row_len: &self.row_len,
-                    targets: &self.targets,
-                    alive: &self.alive,
-                };
-                let frozen: &[P::State] = states;
-                if trace {
-                    eval_shards::<P, true>(
-                        protocol,
-                        &csr,
-                        &self.plan,
-                        &self.packed,
-                        frozen,
-                        &split,
-                        &sharding.arenas,
-                        round_seed,
-                        pool,
-                    );
-                } else {
-                    eval_shards::<P, false>(
-                        protocol,
-                        &csr,
-                        &self.plan,
-                        &self.packed,
-                        frozen,
-                        &split,
-                        &sharding.arenas,
-                        round_seed,
-                        pool,
-                    );
-                }
-                let per_slice: Vec<u64> = (0..shards).map(|k| split.len_of(k)).collect();
-                drop(split);
-                // Merge in ascending shard order: contiguous shards over an
-                // ascending worklist concatenate to the sequential order.
-                let sharding = self.sharding.as_mut().expect("just ensured");
-                let mut stats = EvalStats::default();
-                for (k, arena) in sharding.arenas.iter_mut().enumerate() {
-                    let a = arena.get_mut().expect("shard arena poisoned");
-                    if trace {
-                        per_shard.push(ShardRoundMetrics {
-                            round: 0, // stamped after commit below
-                            shard: k as u32,
-                            shards: shards as u32,
-                            scheduled: per_slice[k],
-                            activations: a.stats.evaluated,
-                            changes: a.out.len() as u64,
-                            neighbor_reads: a.stats.reads,
-                        });
-                    }
-                    stats.evaluated += a.stats.evaluated;
-                    stats.reads += a.stats.reads;
-                    stats.tabular += a.stats.tabular;
-                    stats.direct += a.stats.direct;
-                    self.pending.append(&mut a.out);
-                }
-                stats
+        let stats = match (&work, trace) {
+            (Some(w), true) => {
+                self.eval_nodes::<true>(protocol, states, w.iter().copied(), round_seed)
             }
+            (Some(w), false) => {
+                self.eval_nodes::<false>(protocol, states, w.iter().copied(), round_seed)
+            }
+            (None, true) => self.eval_nodes::<true>(
+                protocol,
+                states,
+                0..self.row_len.len() as NodeId,
+                round_seed,
+            ),
+            (None, false) => self.eval_nodes::<false>(
+                protocol,
+                states,
+                0..self.row_len.len() as NodeId,
+                round_seed,
+            ),
         };
         if let Some(w) = work {
             self.dirty.recycle(w);
         }
         let changed = self.commit(states, metrics, stats.evaluated);
         if trace {
-            for s in &mut per_shard {
-                s.round = metrics.rounds;
-                tracer.shard_round(s);
-            }
             tracer.round(&RoundMetrics {
                 round: metrics.rounds,
                 eligible: self.eligible,
@@ -963,30 +816,6 @@ impl<P: Protocol> CompiledKernel<P> {
             });
         }
         changed
-    }
-
-    /// Builds (or rebuilds) the partition + arenas for `shards` shards.
-    /// Weighted by the *live* CSR row lengths, so a kernel sharded after
-    /// fault surgeries balances the surviving topology.
-    fn ensure_sharding(&mut self, shards: usize) {
-        let rebuild = match &self.sharding {
-            Some(s) => s.partition.shards() != shards,
-            None => true,
-        };
-        if !rebuild {
-            return;
-        }
-        let partition = Partition::from_degrees(&self.row_len, shards);
-        let arenas = (0..shards)
-            .map(|_| {
-                Mutex::new(ShardArena {
-                    out: Vec::new(),
-                    bufs: EvalBufs::default(),
-                    stats: EvalStats::default(),
-                })
-            })
-            .collect();
-        self.sharding = Some(Sharding { partition, arenas });
     }
 
     /// Re-encodes the packed mirror if an out-of-band write invalidated
@@ -1015,14 +844,10 @@ impl<P: Protocol> CompiledKernel<P> {
             targets: &self.targets,
             alive: &self.alive,
         };
-        let plan_ref = match &self.plan {
-            Plan::Tabular(t) => PlanRef::Tabular(t),
-            Plan::Direct => PlanRef::Direct,
-        };
         eval_chunk::<P, TRACE>(
             protocol,
             &csr,
-            plan_ref,
+            &self.plan,
             &self.packed,
             states,
             nodes,
@@ -1057,96 +882,7 @@ impl<P: Protocol> CompiledKernel<P> {
     }
 }
 
-/// Splits an ascending worklist into per-shard subslices along the
-/// partition's boundaries. Zero-copy: shard `k` gets exactly the work
-/// items whose ids fall in `partition.range(k)`, and concatenating the
-/// slices in shard order reproduces `work` verbatim.
-fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a [NodeId]> {
-    let mut out = Vec::with_capacity(partition.shards());
-    let mut rest = work;
-    for k in 0..partition.shards() {
-        let end = partition.range(k).end;
-        let cut = rest.partition_point(|&v| v < end);
-        let (head, tail) = rest.split_at(cut);
-        out.push(head);
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "worklist node beyond the last shard");
-    out
-}
-
-/// This round's work, per shard: either subslices of the drained
-/// (ascending) dirty set, or (for full re-evaluation) the partition's id
-/// ranges.
-enum ShardWork<'a> {
-    Slices(Vec<&'a [NodeId]>),
-    Ranges(&'a Partition),
-}
-
-impl ShardWork<'_> {
-    fn len_of(&self, k: usize) -> u64 {
-        match self {
-            ShardWork::Slices(sl) => sl[k].len() as u64,
-            ShardWork::Ranges(p) => p.range(k).len() as u64,
-        }
-    }
-}
-
-/// Fans the shards out over the pool. Each claimed shard locks its own
-/// arena (uncontended — shard indices are handed out exactly once per
-/// epoch) and evaluates its work against the frozen states. The `TRACE`
-/// split happens *before* the pool wakes, so each shard's hot loop is
-/// monomorphized with a compile-time constant rather than a captured
-/// flag.
-#[allow(clippy::too_many_arguments)]
-fn eval_shards<P: Protocol, const TRACE: bool>(
-    protocol: &P,
-    csr: &CsrRef<'_>,
-    plan: &Plan,
-    packed: &PackedStates,
-    frozen: &[P::State],
-    split: &ShardWork<'_>,
-    arenas: &[Mutex<ShardArena<P>>],
-    round_seed: u64,
-    pool: &mut ShardPool,
-) {
-    pool.run(arenas.len(), &|k| {
-        let mut guard = arenas[k].lock().expect("shard arena poisoned");
-        let arena = &mut *guard;
-        arena.out.clear();
-        let plan_ref = match plan {
-            Plan::Tabular(t) => PlanRef::Tabular(t),
-            Plan::Direct => PlanRef::Direct,
-        };
-        arena.stats = match split {
-            ShardWork::Slices(sl) => eval_chunk::<P, TRACE>(
-                protocol,
-                csr,
-                plan_ref,
-                packed,
-                frozen,
-                sl[k].iter().copied(),
-                round_seed,
-                &mut arena.out,
-                &mut arena.bufs,
-            ),
-            ShardWork::Ranges(p) => eval_chunk::<P, TRACE>(
-                protocol,
-                csr,
-                plan_ref,
-                packed,
-                frozen,
-                p.range(k),
-                round_seed,
-                &mut arena.out,
-                &mut arena.bufs,
-            ),
-        };
-    });
-}
-
-/// Borrowed CSR arrays, cheap to copy into worker closures.
-#[derive(Clone, Copy)]
+/// The kernel's CSR arrays, borrowed apart from its output buffers.
 struct CsrRef<'a> {
     offsets: &'a [u32],
     row_len: &'a [u32],
@@ -1229,9 +965,9 @@ fn transition_of_row<P: Protocol>(
     }
 }
 
-/// The shared inner loop: evaluates `nodes` over frozen `states` (whose
+/// The round's inner loop: evaluates `nodes` over frozen `states` (whose
 /// packed mirror is `packed`), appending `(node, new state)` for changed
-/// nodes to `out`. `bufs` is the evaluator's private workspace
+/// nodes to `out`. `bufs` is the kernel's evaluation workspace
 /// (`bufs.scratch` must be all-zero between calls — the dense fallback
 /// restores that itself). With `TRACE` false every metric branch is a
 /// compile-time constant and the loop is the untraced hot path,
@@ -1247,11 +983,16 @@ fn transition_of_row<P: Protocol>(
 /// SM reduction this way is faithful by symmetry (the transition depends
 /// only on the multiset — for a fold, only on its support), so results
 /// are bit-identical to the one-neighbour-at-a-time fold this replaced.
+///
+/// Kept out of line: inlined into its one caller, the census round on a
+/// 1000×1000 torus measured about 8% slower (alternated perfbench pairs
+/// on a 2-vCPU host).
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn eval_chunk<P: Protocol, const TRACE: bool>(
     protocol: &P,
     csr: &CsrRef<'_>,
-    plan: PlanRef<'_>,
+    plan: &Plan,
     packed: &PackedStates,
     states: &[P::State],
     nodes: impl Iterator<Item = NodeId>,
@@ -1262,7 +1003,7 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
     let mut stats = EvalStats::default();
     let mut evaluated = 0u64;
     match plan {
-        PlanRef::Tabular(t) => {
+        Plan::Tabular(t) => {
             let q = P::State::COUNT;
             // `classes >= 2` and `classes^q <= ACC_BUDGET = 2^12` bound
             // the tabular alphabet at 12 states; the histogram lives in
@@ -1308,7 +1049,7 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 stats.tabular = evaluated;
             }
         }
-        PlanRef::Direct => {
+        Plan::Direct => {
             for v in nodes {
                 let vi = v as usize;
                 let len = csr.row_len[vi] as usize;
@@ -1681,15 +1422,7 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut m = Metrics::default();
         while k.dirty_count() > 0 {
-            k.step(
-                net.protocol(),
-                &mut states,
-                &mut m,
-                0,
-                None,
-                &mut NullTracer,
-                0,
-            );
+            k.step(net.protocol(), &mut states, &mut m, 0, &mut NullTracer, 0);
         }
         let eligible = k.eligible_count();
         k.on_edge_removed(2, 3);
@@ -1802,7 +1535,6 @@ mod tests {
                 &mut states,
                 &mut m,
                 rng.next_u64(),
-                None,
                 &mut log,
                 0,
             );
@@ -1825,7 +1557,7 @@ mod tests {
         let mut log = RoundLog::default();
         let mut m = Metrics::default();
         let mut states = net.states().to_vec();
-        k.step(net.protocol(), &mut states, &mut m, 0, None, &mut log, 0);
+        k.step(net.protocol(), &mut states, &mut m, 0, &mut log, 0);
         let r = log.rounds[0];
         assert_eq!(r.round, 1);
         assert_eq!(r.eligible, 6);
@@ -2332,15 +2064,7 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut m = Metrics::default();
         while k.dirty_count() > 0 {
-            k.step(
-                net.protocol(),
-                &mut states,
-                &mut m,
-                0,
-                None,
-                &mut NullTracer,
-                0,
-            );
+            k.step(net.protocol(), &mut states, &mut m, 0, &mut NullTracer, 0);
         }
         k.on_edge_added(1, 2); // already adjacent in the path
         assert_eq!(k.dirty_count(), 0, "phantom addition reschedules nothing");

@@ -20,8 +20,8 @@
 //! * [`runner`] — the unified [`Runner`] facade: one builder covering
 //!   synchronous rounds, the asynchronous activation policies of Section
 //!   3.4 (uniform-random, round-robin sweeps, random-permutation sweeps),
-//!   fully adversarial orders, engine selection (interpreter vs compiled
-//!   kernel), and the kernel's thread count.
+//!   fully adversarial orders, and engine selection (interpreter vs
+//!   compiled kernel).
 //! * [`kernel`] — the compiled execution path: a [`PackedStates`] index
 //!   mirror gathered row-by-row over CSR adjacency (batched histogram /
 //!   run-length reductions instead of per-neighbour fold chains), dense
@@ -30,12 +30,6 @@
 //! * [`packed`] — the width-specialized per-node state-index array (4,
 //!   8, 16, or 32 bits per node, chosen from `|Q|`) behind the kernel's
 //!   segmented reductions.
-//! * [`pool`] — the persistent [`ShardPool`] behind the kernel's sharded
-//!   rounds: workers parked between rounds, shard indices handed out
-//!   through one atomic counter. Select it with [`Runner::threads`];
-//!   per-shard load is observable through [`ShardRoundMetrics`] events.
-//!   Coins derive from `(round seed, node id)`, never from thread
-//!   interleaving, so every thread count yields the same trajectory.
 //! * [`faults`] — timed decreasing-benign fault plans (Section 1).
 //! * [`sensitivity`] — the Section 2 k-sensitivity harness: critical sets,
 //!   the [`Sensitive`] trait, the empirical single-fault sweep, and
@@ -58,12 +52,7 @@
 //! * [`interp`] — run a table-level [`fssga_core::ProbFssga`] directly.
 //! * [`compile`] — protocol → mod-thresh FSSGA extraction.
 
-// Unsafe policy: the engine is the only workspace crate allowed to
-// contain `unsafe`, and only in the [`pool`] module (the lifetime-erased
-// job pointer of the sharded kernel). Everything else is checked Rust;
-// the clippy `undocumented_unsafe_blocks` workspace lint additionally
-// requires a `// SAFETY:` comment on every block that remains.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
@@ -77,8 +66,6 @@ pub mod kernel;
 pub mod network;
 pub mod obs;
 pub mod packed;
-#[allow(unsafe_code)]
-pub mod pool;
 pub mod protocol;
 pub mod runner;
 pub mod sensitivity;
@@ -101,10 +88,9 @@ pub use kernel::{CompiledKernel, KernelPlan};
 pub use network::{Metrics, Network};
 pub use obs::{
     ChannelTrace, ChurnRoundMetrics, Counters, FaultSurgery, JsonlTrace, NullTracer, RoundLog,
-    RoundMetrics, RunMetrics, ShardRoundMetrics, Tee, Tracer,
+    RoundMetrics, RunMetrics, Tee, Tracer,
 };
 pub use packed::PackedStates;
-pub use pool::ShardPool;
 pub use protocol::{Protocol, StateSpace, SupportFold};
 pub use runner::{AsyncPolicy, Budget, CancelToken, Engine, Policy, RunReport, Runner};
 pub use sensitivity::{

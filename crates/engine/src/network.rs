@@ -9,14 +9,13 @@ use fssga_graph::{DynGraph, Graph, NodeId};
 
 use crate::kernel::{CompiledKernel, KernelPlan};
 use crate::obs::{NullTracer, RoundMetrics, Tracer};
-use crate::pool::ShardPool;
 use crate::protocol::{Protocol, StateSpace};
 use crate::view::{NeighborView, QueryRecorder};
 
 /// The coin a node draws in a synchronous round: a pure function of
 /// `(round_seed, node, r)`, shared by the interpreter, the compiled
-/// kernel (inline or sharded), and the table-level interpreter so that
-/// all three agree bit-for-bit.
+/// kernel, and the table-level interpreter so that all three agree
+/// bit-for-bit.
 #[inline]
 pub fn round_coin(round_seed: u64, v: NodeId, r: u32) -> u32 {
     if r <= 1 {
@@ -77,10 +76,6 @@ pub struct Network<P: Protocol> {
     /// into [`RoundMetrics::faults`] by the traced steppers and left
     /// untouched otherwise.
     pending_faults: u64,
-    /// Persistent worker pool for sharded rounds — built on first use,
-    /// rebuilt when the requested thread count changes, parked between
-    /// rounds so sharded stepping pays no spawn cost per round.
-    pool: Option<ShardPool>,
     /// Execution counters (public for instrumentation).
     ///
     /// `rounds` and `changes` agree bit-for-bit between the interpreter
@@ -109,7 +104,6 @@ impl<P: Protocol> Network<P> {
             kernel: None,
             kernel_stale: false,
             pending_faults: 0,
-            pool: None,
             metrics: Metrics::default(),
         }
     }
@@ -360,7 +354,7 @@ impl<P: Protocol> Network<P> {
     /// The coin node `v` uses in the synchronous round with seed
     /// `round_seed`. Deriving coins from `(round_seed, v)` — rather than
     /// from a shared stream — makes every evaluation order (interpreter,
-    /// kernel, any shard count) draw the same coins.
+    /// kernel) draw the same coins.
     #[inline]
     pub(crate) fn coin_for(round_seed: u64, v: NodeId) -> u32 {
         round_coin(round_seed, v, P::RANDOMNESS)
@@ -442,12 +436,11 @@ impl<P: Protocol> Network<P> {
         changed
     }
 
-    /// One synchronous round on the compiled kernel (built on demand),
-    /// on the calling thread. Bit-identical trajectory to
-    /// [`Self::sync_step_seeded`]; see the [`Metrics`] note about
-    /// activation counts.
+    /// One synchronous round on the compiled kernel (built on demand).
+    /// Bit-identical trajectory to [`Self::sync_step_seeded`]; see the
+    /// [`Metrics`] note about activation counts.
     pub fn sync_step_kernel_seeded(&mut self, round_seed: u64) -> usize {
-        self.kernel_step(round_seed, 1, &mut NullTracer)
+        self.kernel_step(round_seed, &mut NullTracer)
     }
 
     /// Like [`Self::sync_step_kernel_seeded`], but forwards one
@@ -458,20 +451,12 @@ impl<P: Protocol> Network<P> {
         round_seed: u64,
         tracer: &mut T,
     ) -> usize {
-        self.kernel_step(round_seed, 1, tracer)
+        self.kernel_step(round_seed, tracer)
     }
 
     /// The kernel round behind every kernel entry point and
-    /// [`crate::Runner`]. With `threads > 1` the round is evaluated over
-    /// the network's persistent [`ShardPool`], built on first use and
-    /// rebuilt only when `threads` changes; the trajectory is
-    /// bit-identical for every thread count.
-    pub(crate) fn kernel_step<T: Tracer>(
-        &mut self,
-        round_seed: u64,
-        threads: usize,
-        tracer: &mut T,
-    ) -> usize {
+    /// [`crate::Runner`].
+    pub(crate) fn kernel_step<T: Tracer>(&mut self, round_seed: u64, tracer: &mut T) -> usize {
         assert!(
             self.recorder.is_none(),
             "query recording requires the interpreter stepper"
@@ -487,20 +472,11 @@ impl<P: Protocol> Network<P> {
             kernel.mark_all_dirty();
             self.kernel_stale = false;
         }
-        let pool = if threads > 1 {
-            if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
-                self.pool = Some(ShardPool::new(threads));
-            }
-            self.pool.as_mut()
-        } else {
-            None
-        };
         let changed = kernel.step(
             &self.protocol,
             &mut self.states,
             &mut self.metrics,
             round_seed,
-            pool,
             tracer,
             faults,
         );
@@ -664,32 +640,6 @@ mod tests {
         // Spread asks only some(Infected): threshold 1 everywhere, no mods.
         assert_eq!(rec.thresholds, vec![1, 1]);
         assert_eq!(rec.moduli, vec![1, 1]);
-    }
-
-    #[test]
-    fn interpreter_ignores_threads() {
-        // The interpreter is the single-threaded reference: a thread count
-        // changes nothing in the run and builds no shard pool.
-        use crate::runner::{Budget, Engine, Runner};
-        let g = generators::grid(20, 20);
-        let run = |threads: usize| {
-            let mut net = Network::new(&g, Spread, |v| {
-                if v == 0 {
-                    Infect::Infected
-                } else {
-                    Infect::Healthy
-                }
-            });
-            let report = Runner::new(&mut net)
-                .engine(Engine::Interpreter)
-                .threads(threads)
-                .budget(Budget::Fixpoint(100))
-                .observed()
-                .run();
-            assert!(net.pool.is_none(), "{threads} threads built a pool");
-            (report, net.states().to_vec(), net.metrics.clone())
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

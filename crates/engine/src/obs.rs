@@ -73,21 +73,6 @@ pub trait Tracer {
         let _ = surgery;
     }
 
-    /// One shard's share of a sharded synchronous round (emitted by the
-    /// sharded kernel only, *before* the round's [`Tracer::round`] event).
-    ///
-    /// Workers never call this. Per-shard counters are buffered in each
-    /// shard's arena during the evaluation phase and the committing
-    /// thread emits them in ascending shard order once the round's
-    /// barrier has passed — so sinks (including line-oriented ones like
-    /// [`JsonlTrace`]) see a deterministic, thread-count-independent
-    /// event stream. Defaults to a no-op: sinks that only care about
-    /// whole rounds ignore shards entirely.
-    #[inline]
-    fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        let _ = metrics;
-    }
-
     /// One round of a streaming churn run completed (emitted by the
     /// [`crate::churn`] harness *after* the round's [`Tracer::round`]
     /// event). Carries the churn-specific view of the round: events
@@ -133,11 +118,6 @@ impl<T: Tracer + ?Sized> Tracer for &mut T {
     #[inline]
     fn fault(&mut self, surgery: &FaultSurgery) {
         (**self).fault(surgery);
-    }
-
-    #[inline]
-    fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        (**self).shard_round(metrics);
     }
 
     #[inline]
@@ -206,52 +186,6 @@ impl RoundMetrics {
             ("tabular", json::nu(self.tabular)),
             ("direct", json::nu(self.direct)),
             ("faults", json::nu(self.faults)),
-        ])
-        .to_string()
-    }
-}
-
-/// One shard's share of a sharded synchronous round.
-///
-/// The sharded kernel buffers these per-arena while workers evaluate and
-/// emits them from the committing thread in ascending shard order, so the
-/// event stream is deterministic regardless of thread count or scheduling
-/// (see [`Tracer::shard_round`]). Summed over `0..shards`, the counters
-/// equal the corresponding fields of the round's [`RoundMetrics`] —
-/// `tests/shard_equivalence.rs` asserts exactly that.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardRoundMetrics {
-    /// Cumulative round counter of the network after this round.
-    pub round: u64,
-    /// This shard's index (`0..shards`).
-    pub shard: u32,
-    /// Total shard count of the round, so a single event is
-    /// self-describing in a streamed trace.
-    pub shards: u32,
-    /// Dirty nodes this shard submitted to the evaluator.
-    pub scheduled: u64,
-    /// Nodes this shard actually evaluated.
-    pub activations: u64,
-    /// Evaluations that proposed a state change.
-    pub changes: u64,
-    /// Neighbour states this shard read while tallying multisets. The
-    /// per-shard spread of this field is the load-imbalance signal the
-    /// degree-aware partitioner exists to flatten.
-    pub neighbor_reads: u64,
-}
-
-impl ShardRoundMetrics {
-    /// One JSON-lines record (no trailing newline; schema in DESIGN.md §8).
-    pub fn to_jsonl(&self) -> String {
-        json::obj(vec![
-            ("t", json::s("shard")),
-            ("round", json::nu(self.round)),
-            ("shard", json::nu(self.shard.into())),
-            ("shards", json::nu(self.shards.into())),
-            ("scheduled", json::nu(self.scheduled)),
-            ("activations", json::nu(self.activations)),
-            ("changes", json::nu(self.changes)),
-            ("neighbor_reads", json::nu(self.neighbor_reads)),
         ])
         .to_string()
     }
@@ -433,9 +367,6 @@ pub struct RoundLog {
     pub rounds: Vec<RoundMetrics>,
     /// Every fault-surgery event, in order.
     pub faults: Vec<FaultSurgery>,
-    /// Every per-shard event, in order (round-major, then shard-ascending
-    /// — the order the sharded kernel guarantees).
-    pub shards: Vec<ShardRoundMetrics>,
     /// Every churn-round event, in order.
     pub churns: Vec<ChurnRoundMetrics>,
 }
@@ -449,17 +380,13 @@ impl Tracer for RoundLog {
         self.faults.push(*surgery);
     }
 
-    fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        self.shards.push(*metrics);
-    }
-
     fn churn_round(&mut self, metrics: &ChurnRoundMetrics) {
         self.churns.push(*metrics);
     }
 }
 
 /// A streaming JSON-lines sink: one `to_jsonl` line per event (`round`,
-/// `shard`, `churn` and `fault`; see DESIGN.md §8), in event order — the
+/// `churn` and `fault`; see DESIGN.md §8), in event order — the
 /// replayable trace artifact `fssga-bench --trace-out` and
 /// `fssga-chaos --trace-out` upload from CI.
 #[derive(Debug)]
@@ -487,10 +414,6 @@ impl<W: Write> Tracer for JsonlTrace<W> {
 
     fn fault(&mut self, surgery: &FaultSurgery) {
         writeln!(self.out, "{}", surgery.to_jsonl()).expect("write jsonl trace");
-    }
-
-    fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        writeln!(self.out, "{}", metrics.to_jsonl()).expect("write jsonl trace");
     }
 
     fn churn_round(&mut self, metrics: &ChurnRoundMetrics) {
@@ -586,10 +509,6 @@ impl Tracer for ChannelTrace {
         self.send(surgery.to_jsonl());
     }
 
-    fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        self.send(metrics.to_jsonl());
-    }
-
     fn churn_round(&mut self, metrics: &ChurnRoundMetrics) {
         self.send(metrics.to_jsonl());
     }
@@ -620,12 +539,6 @@ impl<A: Tracer, B: Tracer> Tracer for Tee<A, B> {
     }
 
     #[inline]
-    fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        self.0.shard_round(metrics);
-        self.1.shard_round(metrics);
-    }
-
-    #[inline]
     fn churn_round(&mut self, metrics: &ChurnRoundMetrics) {
         self.0.churn_round(metrics);
         self.1.churn_round(metrics);
@@ -647,18 +560,6 @@ mod tests {
             tabular: 3,
             direct: 0,
             faults: 1,
-        }
-    }
-
-    fn shard_sample() -> ShardRoundMetrics {
-        ShardRoundMetrics {
-            round: 2,
-            shard: 1,
-            shards: 4,
-            scheduled: 8,
-            activations: 7,
-            changes: 3,
-            neighbor_reads: 21,
         }
     }
 
@@ -748,7 +649,7 @@ mod tests {
     #[test]
     fn every_event_shape_parses_back_to_its_fields() {
         let n = |x: u64| Json::Num(x as f64);
-        let (r, s) = (sample(7), shard_sample());
+        let r = sample(7);
         let churn = |recovered_in, oracle| {
             let c = ChurnRoundMetrics {
                 recovered_in,
@@ -795,19 +696,6 @@ mod tests {
                     ("faults", n(r.faults)),
                 ],
             ),
-            (
-                s.to_jsonl(),
-                vec![
-                    ("t", json::s("shard")),
-                    ("round", n(s.round)),
-                    ("shard", n(s.shard.into())),
-                    ("shards", n(s.shards.into())),
-                    ("scheduled", n(s.scheduled)),
-                    ("activations", n(s.activations)),
-                    ("changes", n(s.changes)),
-                    ("neighbor_reads", n(s.neighbor_reads)),
-                ],
-            ),
             churn(Some(4), Some(true)),
             churn(Some(0), Some(false)),
             churn(None, None),
@@ -847,42 +735,6 @@ mod tests {
         assert_eq!(tee.1.run.rounds, 1);
         let off = Tee(NullTracer, NullTracer);
         assert!(!off.enabled());
-    }
-
-    #[test]
-    fn jsonl_shard_format_is_stable() {
-        assert_eq!(
-            shard_sample().to_jsonl(),
-            "{\"t\":\"shard\",\"round\":2,\"shard\":1,\"shards\":4,\
-             \"scheduled\":8,\"activations\":7,\"changes\":3,\
-             \"neighbor_reads\":21}"
-        );
-    }
-
-    #[test]
-    fn shard_events_route_to_logs_and_jsonl_but_not_counters() {
-        let s = ShardRoundMetrics {
-            round: 1,
-            shard: 0,
-            shards: 2,
-            ..Default::default()
-        };
-        let mut log = RoundLog::default();
-        log.shard_round(&s);
-        assert_eq!(log.shards, vec![s]);
-
-        let mut sink = JsonlTrace::new(Vec::new());
-        sink.shard_round(&s);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert!(text.starts_with("{\"t\":\"shard\""));
-
-        // Counters aggregate whole rounds only: shard events are the
-        // per-shard *decomposition* of a round, so folding them in too
-        // would double-count.
-        let mut tee = Tee(Counters::default(), RoundLog::default());
-        tee.shard_round(&s);
-        assert_eq!(tee.0.run, RunMetrics::default());
-        assert_eq!(tee.1.shards.len(), 1);
     }
 
     #[test]

@@ -8,11 +8,7 @@ use crate::view::NeighborView;
 /// engine needs a dense `0..COUNT` indexing to tally neighbour states into
 /// a scratch array (the "cartesian product of the variables' ranges" trick
 /// the paper describes under Algorithm 4.1).
-///
-/// `Send + Sync` because a sharded round reads the frozen state vector
-/// from every worker thread and hands proposed states back to the
-/// committing one.
-pub trait StateSpace: Copy + Eq + std::fmt::Debug + Send + Sync {
+pub trait StateSpace: Copy + Eq + std::fmt::Debug {
     /// Number of distinct states, `|Q|`.
     const COUNT: usize;
 
@@ -57,10 +53,7 @@ impl<S> SupportFold<S> {
 /// through symmetric, finite mod/thresh queries), and — for probabilistic
 /// protocols (Definition 3.11) — a uniformly random coin in
 /// `0..RANDOMNESS`.
-///
-/// `Sync` because a sharded round calls `transition` from several worker
-/// threads at once through a shared `&self`.
-pub trait Protocol: Sync {
+pub trait Protocol {
     /// The node state type `Q`.
     type State: StateSpace;
 

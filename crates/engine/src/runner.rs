@@ -1,9 +1,9 @@
 //! The unified run facade: one builder for every execution mode.
 //!
 //! [`Runner`] is the engine's front door: synchronous rounds, the
-//! asynchronous policies of Section 3.4, adversarial orders, engine and
-//! thread selection, budgets, cancellation, tracing and history
-//! recording all hang off one builder with one [`RunReport`]:
+//! asynchronous policies of Section 3.4, adversarial orders, engine
+//! selection, budgets, cancellation, tracing and history recording all
+//! hang off one builder with one [`RunReport`]:
 //!
 //! ```
 //! use fssga_engine::{Budget, Network, Policy, Runner};
@@ -35,13 +35,10 @@
 //! [`crate::PackedStates`] index mirror (4–32 bits per node) reduced row
 //! by row over CSR adjacency, with batched histogram/run-length
 //! tallies, dirty-set scheduling, and slack-growth arena repair under
-//! churn — and everything else runs on the interpreter. [`Runner::threads`]
-//! shards kernel rounds over a persistent [`crate::ShardPool`]; the
-//! interpreter is the single-threaded reference and ignores it.
-//! Trajectories (states, change counts, fixpoint rounds) are
-//! bit-identical between engines and across thread counts; only the
-//! `activations` metric differs (the kernel provably skips no-op
-//! re-evaluations).
+//! churn — and everything else runs on the interpreter. Trajectories
+//! (states, change counts, fixpoint rounds) are bit-identical between
+//! engines; only the `activations` metric differs (the kernel provably
+//! skips no-op re-evaluations).
 //!
 //! # Observability
 //!
@@ -75,12 +72,11 @@ use crate::protocol::Protocol;
 /// [`RunReport::cancelled`].
 ///
 /// Round granularity is a deliberate safety choice, not a limitation:
-/// a synchronous round — sharded or not — is the engine's atomic unit of
-/// progress. Workers of a sharded round write proposals into per-shard
-/// scratch arenas and nothing becomes visible until the committing
-/// thread merges them in shard order; interrupting *between* rounds
-/// therefore can never leave half-committed states, a torn dirty set, or
-/// an arena mid-compaction (see DESIGN.md §12 for the full argument).
+/// a synchronous round is the engine's atomic unit of progress. A round
+/// evaluates into a pending buffer and nothing becomes visible until it
+/// commits; interrupting *between* rounds therefore can never leave
+/// half-committed states, a torn dirty set, or an arena mid-compaction
+/// (see DESIGN.md §12 for the full argument).
 /// The token is checked with one relaxed atomic load per round (or per
 /// asynchronous activation), so an un-cancelled token costs nothing
 /// measurable.
@@ -114,11 +110,9 @@ pub enum Engine {
     /// recording is off; interpreter otherwise.
     #[default]
     Auto,
-    /// Always the interpreter (per-activation `transition` calls), on
-    /// one thread.
+    /// Always the interpreter (per-activation `transition` calls).
     Interpreter,
-    /// Always the compiled kernel, sharded when [`Runner::threads`] asks
-    /// for more than one thread. Panics if query recording is enabled.
+    /// Always the compiled kernel. Panics if query recording is enabled.
     Kernel,
 }
 
@@ -205,8 +199,6 @@ pub struct Runner<'n, 'r, 'o, 'h, P: Protocol, T: Tracer = NullTracer> {
     record: Option<&'h mut History<P::State>>,
     observe: bool,
     cancel: Option<CancelToken>,
-    /// Thread count for kernel rounds; see [`Self::threads`].
-    threads: usize,
 }
 
 impl<'n, P: Protocol> Runner<'n, '_, '_, '_, P, NullTracer> {
@@ -224,7 +216,6 @@ impl<'n, P: Protocol> Runner<'n, '_, '_, '_, P, NullTracer> {
             record: None,
             observe: false,
             cancel: None,
-            threads: 1,
         }
     }
 }
@@ -278,7 +269,6 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
             record: self.record,
             observe: self.observe,
             cancel: self.cancel,
-            threads: self.threads,
         }
     }
 
@@ -308,18 +298,6 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
         self
     }
 
-    /// Runs kernel rounds over `threads` threads (clamped to at least 1)
-    /// on the sharded backend: a degree-weighted contiguous
-    /// [`fssga_graph::Partition`] evaluated over a persistent
-    /// [`crate::ShardPool`]. The trajectory is **bit-identical** to the
-    /// single-threaded run: coins derive from `(round_seed, node)` and
-    /// per-shard results commit in node order. Interpreter rounds and
-    /// asynchronous activations ignore the thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     fn use_kernel(&self) -> bool {
         match self.engine {
             Engine::Auto => P::COMPILED && !self.net.recording_enabled(),
@@ -341,14 +319,13 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
             mut tracer,
             record,
             cancel,
-            threads,
             ..
         } = self;
         if observe {
             let mut counters = Counters::default();
             let mut tee = Tee(&mut tracer, &mut counters);
             let mut report = run_core(
-                net, policy, budget, seed, rng, record, cancel, kernel, threads, &mut tee,
+                net, policy, budget, seed, rng, record, cancel, kernel, &mut tee,
             );
             report.metrics = Some(counters.run);
             report
@@ -362,16 +339,14 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
                 record,
                 cancel,
                 kernel,
-                threads,
                 &mut NullTracer,
             )
         }
     }
 }
 
-/// The shared driver: synchronous rounds go to the kernel stepper (over
-/// `threads` threads) when `kernel` is set and to the interpreter
-/// otherwise; everything else (budgets, async sweeps, history
+/// The shared driver: synchronous rounds go to the kernel stepper when
+/// `kernel` is set and to the interpreter otherwise; everything else (budgets, async sweeps, history
 /// recording, reporting) is engine-independent. Asynchronous sweeps are
 /// traced here (per sweep) since individual activations have no round
 /// structure of their own; step- and order-driven runs emit one
@@ -386,7 +361,6 @@ fn run_core<P: Protocol, Tr: Tracer>(
     mut record: Option<&mut History<P::State>>,
     cancel: Option<CancelToken>,
     kernel: bool,
-    threads: usize,
     tracer: &mut Tr,
 ) -> RunReport {
     let before = net.metrics.clone();
@@ -429,7 +403,7 @@ fn run_core<P: Protocol, Tr: Tracer>(
                 }
                 let round_seed = if P::RANDOMNESS > 1 { rng.next_u64() } else { 0 };
                 let changed = if kernel {
-                    net.kernel_step(round_seed, threads, tracer)
+                    net.kernel_step(round_seed, tracer)
                 } else {
                     net.sync_step_seeded_traced(round_seed, tracer)
                 };
@@ -1048,59 +1022,54 @@ mod tests {
         Mod3::from_index((v as usize * 7 + 3) % 3)
     }
 
-    /// Steps `reference` on the interpreter and `sharded` on the kernel
-    /// at `threads` threads, one round at a time from equally seeded
+    /// Steps `reference` on the interpreter and `compiled` on the kernel
+    /// through [`Runner`], one round at a time from equally seeded
     /// generators, asserting equal change counts and states every round.
-    /// Returns how many rounds actually ran sharded.
-    fn assert_sharded_lockstep<P: Protocol>(
+    /// Returns the kernel's per-round events.
+    fn assert_kernel_lockstep<P: Protocol>(
         reference: &mut Network<P>,
-        sharded: &mut Network<P>,
-        threads: usize,
+        compiled: &mut Network<P>,
         seed: u64,
         rounds: usize,
-    ) -> usize {
+    ) -> Vec<RoundMetrics> {
         let mut r1 = Xoshiro256::seed_from_u64(seed);
         let mut r2 = Xoshiro256::seed_from_u64(seed);
         let mut log = RoundLog::default();
         for round in 0..rounds {
             let a = reference.sync_step(&mut r1);
-            let b = Runner::new(sharded)
+            let b = Runner::new(compiled)
                 .engine(Engine::Kernel)
-                .threads(threads)
                 .budget(Budget::Rounds(1))
                 .rng(&mut r2)
                 .tracer(&mut log)
                 .run();
-            assert_eq!(a as u64, b.changes, "{threads} threads, round {round}");
-            assert_eq!(
-                reference.states(),
-                sharded.states(),
-                "{threads} threads, round {round}"
-            );
+            assert_eq!(a as u64, b.changes, "round {round}");
+            assert_eq!(reference.states(), compiled.states(), "round {round}");
         }
-        let mut sharded_rounds: Vec<u64> = log.shards.iter().map(|s| s.round).collect();
-        sharded_rounds.dedup();
-        sharded_rounds.len()
+        assert_eq!(log.rounds.len(), rounds, "one event per Runner round");
+        log.rounds
     }
 
     #[test]
     fn sharded_kernel_matches_interpreter_deterministic() {
         let g = generators::grid(20, 20);
         let mut reference = Network::new(&g, Rotate, mod3_init);
-        let mut sharded = Network::new(&g, Rotate, mod3_init);
-        let pooled = assert_sharded_lockstep(&mut reference, &mut sharded, 4, 1, 10);
-        assert!(pooled > 0, "the pool never ran");
+        let mut compiled = Network::new(&g, Rotate, mod3_init);
+        let rounds = assert_kernel_lockstep(&mut reference, &mut compiled, 1, 10);
+        assert_eq!(
+            rounds[0].scheduled, 400,
+            "the first round schedules every node"
+        );
     }
 
     #[test]
     fn sharded_kernel_matches_interpreter_probabilistic() {
         let g = generators::connected_gnp(400, 0.02, &mut Xoshiro256::seed_from_u64(5));
-        for threads in [2, 8] {
-            let mut reference = Network::new(&g, CoinFlip, mod3_init);
-            let mut sharded = Network::new(&g, CoinFlip, mod3_init);
-            let pooled = assert_sharded_lockstep(&mut reference, &mut sharded, threads, 2, 8);
+        let mut reference = Network::new(&g, CoinFlip, mod3_init);
+        let mut compiled = Network::new(&g, CoinFlip, mod3_init);
+        for r in assert_kernel_lockstep(&mut reference, &mut compiled, 2, 8) {
             assert_eq!(
-                pooled, 8,
+                r.activations, r.eligible,
                 "every probabilistic round re-evaluates all nodes"
             );
         }
@@ -1110,29 +1079,11 @@ mod tests {
     fn sharded_kernel_respects_faults() {
         let g = generators::grid(16, 16);
         let mut reference = Network::new(&g, Rotate, mod3_init);
-        let mut sharded = Network::new(&g, Rotate, mod3_init);
-        for net in [&mut reference, &mut sharded] {
+        let mut compiled = Network::new(&g, Rotate, mod3_init);
+        for net in [&mut reference, &mut compiled] {
             net.remove_edge(0, 1);
             net.remove_node(100);
         }
-        assert_sharded_lockstep(&mut reference, &mut sharded, 3, 3, 5);
-    }
-
-    #[test]
-    fn small_networks_run_inline() {
-        // Below the shard threshold a round never wakes the pool, and
-        // still counts as one round.
-        let g = generators::path(10);
-        let mut net = Network::new(&g, Rotate, mod3_init);
-        let mut log = RoundLog::default();
-        Runner::new(&mut net)
-            .engine(Engine::Kernel)
-            .threads(8)
-            .budget(Budget::Rounds(1))
-            .tracer(&mut log)
-            .run();
-        assert_eq!(net.metrics.rounds, 1);
-        assert_eq!(log.rounds.len(), 1);
-        assert!(log.shards.is_empty(), "no shard events below the threshold");
+        assert_kernel_lockstep(&mut reference, &mut compiled, 3, 5);
     }
 }

@@ -9,6 +9,8 @@
 //! paper's sensitivity ranking (0-sensitive diffusion < 1-sensitive
 //! agents < Θ(n)-sensitive tree algorithms).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::NodeId;
 
@@ -508,11 +510,11 @@ pub fn sweep_single_faults(
 
 /// Parallel [`sweep_single_faults`]: the `times × kinds` probes are
 /// independent deterministic campaigns (each rebuilds its network and
-/// reseeds its RNG from the schedule alone), so they fan out over a
-/// [`crate::ShardPool`] with one probe per pool job. The report is
-/// assembled in sweep order regardless of which thread ran which probe,
-/// so the result is bit-identical to the sequential sweep for every
-/// thread count.
+/// reseeds its RNG from the schedule alone), so `threads` scoped workers
+/// claim them one at a time through a shared atomic probe index. The
+/// report is assembled in sweep order regardless of which thread ran
+/// which probe, so the result is bit-identical to the sequential sweep
+/// for every thread count.
 ///
 /// `run` must be a *pure* function of the schedule (the same contract
 /// [`sweep_single_faults`] states), and additionally `Sync` because
@@ -530,29 +532,42 @@ pub fn sweep_single_faults_parallel(
     if threads <= 1 || pairs.len() < 2 {
         return sweep_single_faults(kinds, times, run);
     }
-    // One slot per probe; each pool job writes only its own index, and
-    // the merge below walks the slots in sweep order.
-    let slots: Vec<std::sync::Mutex<Option<Verdict>>> =
-        pairs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let mut pool = crate::pool::ShardPool::new(threads);
-    pool.run(pairs.len(), &|i| {
-        let (time, kind) = pairs[i];
-        let schedule = [crate::faults::FaultEvent { time, kind }];
-        *slots[i].lock().unwrap() = Some(run(&schedule));
+    // Relaxed: the counter only hands out probe indices; verdicts come
+    // back through `join`, which synchronizes.
+    let next = AtomicUsize::new(0);
+    let mut verdicts: Vec<Option<Verdict>> = vec![None; pairs.len()];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(pairs.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(time, kind)) = pairs.get(i) else {
+                            return done;
+                        };
+                        let schedule = [crate::faults::FaultEvent { time, kind }];
+                        done.push((i, run(&schedule)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, verdict) in worker.join().expect("sweep probe panicked") {
+                verdicts[i] = Some(verdict);
+            }
+        }
     });
-    let mut report = SensitivityReport::default();
-    for ((time, kind), slot) in pairs.into_iter().zip(slots) {
-        let verdict = slot
-            .into_inner()
-            .unwrap()
-            .expect("ShardPool::run visits every probe exactly once");
-        report.probes.push(SingleFaultProbe {
+    let probes = pairs
+        .into_iter()
+        .zip(verdicts)
+        .map(|((time, kind), verdict)| SingleFaultProbe {
             time,
             kind,
-            verdict,
-        });
-    }
-    report
+            verdict: verdict.expect("every probe index is claimed exactly once"),
+        })
+        .collect();
+    SensitivityReport { probes }
 }
 
 /// The paper's "reasonably correct" predicate (Section 2), made

@@ -333,7 +333,7 @@ impl<'a, S: StateSpace> NeighborView<'a, S> {
     /// Every engine-internal constructor supplies the presence list in
     /// ascending state-index order, so iteration order is canonical and
     /// identical across the interpreter, the compiled kernel (fresh or
-    /// incrementally repaired), the sharded backend and the verifier.
+    /// incrementally repaired) and the verifier.
     /// Protocols must still treat the result as an unordered set
     /// (aggregate with min/max/any, never "first wins") — the canonical
     /// order is a determinism backstop, not a licence.

@@ -705,9 +705,17 @@ impl ElectionHarness {
 }
 
 /// Election composes phases, clustering and agent traversals; losing any
-/// remaining candidate (or a declared leader, or a node currently holding
-/// a Milgram agent) can change the elected outcome, and early on *every*
-/// node is a remaining candidate — a Θ(n) critical set.
+/// remaining candidate (or a declared leader) can change the elected
+/// outcome, and early on *every* node is a remaining candidate — a Θ(n)
+/// critical set.
+///
+/// The Milgram agent makes three more kinds of node critical, as the
+/// single-fault sweep in `tests/sensitivity_ranking.rs` shows: the hand,
+/// every arm node (the agent's only way back to its candidate), and the
+/// hand's blank neighbours. Those are its tournament's participants: once
+/// the hand has started a tournament it waits for a tails, so killing the
+/// last participant wedges it. `ByArm` and `Visited` nodes are not
+/// critical.
 impl Sensitive for ElectionHarness {
     fn algorithm(&self) -> &'static str {
         "leader-election"
@@ -718,12 +726,23 @@ impl Sensitive for ElectionHarness {
     }
 
     fn critical_set(&self) -> Vec<NodeId> {
-        (0..self.net.n() as NodeId)
+        let trav = |v: NodeId| self.net.state(v).trav;
+        let mut crit: Vec<NodeId> = (0..self.net.n() as NodeId)
             .filter(|&v| {
                 let s = self.net.state(v);
-                s.remain || s.leader || s.trav.is_hand()
+                s.remain || s.leader || matches!(s.trav.status, TStatus::Arm | TStatus::Hand(_))
             })
-            .collect()
+            .collect();
+        let participants: Vec<NodeId> = crit
+            .iter()
+            .filter(|&&v| trav(v).is_hand())
+            .flat_map(|&hand| self.net.graph().neighbors(hand).iter().copied())
+            .filter(|&w| matches!(trav(w).status, TStatus::Blank(_)))
+            .collect();
+        crit.extend(participants);
+        crit.sort_unstable();
+        crit.dedup();
+        crit
     }
 }
 

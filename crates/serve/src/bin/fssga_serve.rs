@@ -3,7 +3,7 @@
 //! ```text
 //! fssga-serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //!             [--max-nodes N] [--max-rounds N] [--max-wall-ms MS]
-//!             [--max-threads N] [--read-timeout-ms MS]
+//!             [--read-timeout-ms MS]
 //!             [--allow-shutdown] [--for-ms MS]
 //! ```
 //!
@@ -21,7 +21,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fssga-serve [--addr HOST:PORT] [--workers N] [--queue-cap N]\n\
          \x20                  [--max-nodes N] [--max-rounds N] [--max-wall-ms MS]\n\
-         \x20                  [--max-threads N] [--read-timeout-ms MS]\n\
+         \x20                  [--read-timeout-ms MS]\n\
          \x20                  [--allow-shutdown] [--for-ms MS]"
     );
     std::process::exit(2);
@@ -53,9 +53,6 @@ fn main() {
                 cfg.limits.max_rounds = parse(value("a count"), "--max-rounds") as usize
             }
             "--max-wall-ms" => cfg.limits.max_wall_ms = parse(value("millis"), "--max-wall-ms"),
-            "--max-threads" => {
-                cfg.limits.max_threads = parse(value("a count"), "--max-threads") as usize
-            }
             "--read-timeout-ms" => {
                 cfg.read_timeout_ms = parse(value("millis"), "--read-timeout-ms")
             }

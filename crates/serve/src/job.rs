@@ -4,10 +4,11 @@
 //! with every unknown, missing, or out-of-range field rejected as a
 //! structured [`JobError`] *before* the job is admitted to the queue.
 //! The server's [`Limits`] are applied at parse time too: node caps
-//! reject the request outright (`budget-nodes`); round, wall-clock and
-//! thread requests are silently clamped to the server maxima (the
-//! `accepted` frame echoes the effective values, so a clamped client
-//! can see what it actually got).
+//! reject the request outright (`budget-nodes`); round and wall-clock
+//! requests are silently clamped to the server maxima (the `accepted`
+//! frame echoes the effective values, so a clamped client can see what
+//! it actually got). A `threads` field is still accepted for wire
+//! compatibility: it must be a non-negative integer, and is ignored.
 //!
 //! DESIGN.md §12 documents the wire-level schema field by field; this
 //! module is its executable twin.
@@ -91,8 +92,6 @@ pub struct Limits {
     /// Upper clamp on a job's wall-clock budget, in milliseconds; also
     /// the default when the request omits `wall_ms`.
     pub max_wall_ms: u64,
-    /// Upper clamp on a job's `threads` request.
-    pub max_threads: usize,
 }
 
 impl Default for Limits {
@@ -101,7 +100,6 @@ impl Default for Limits {
             max_nodes: 2_000_000,
             max_rounds: 100_000,
             max_wall_ms: 30_000,
-            max_threads: 8,
         }
     }
 }
@@ -344,11 +342,6 @@ pub struct JobSpec {
     pub graph: GraphSpec,
     /// Determinism seed (default `0xF55A_2006`, the bench suite's).
     pub seed: u64,
-    /// Sharded-kernel thread count; `1` (the default) runs the
-    /// sequential auto-selected engine. Clamped to
-    /// [`Limits::max_threads`]. Ignored by churn jobs (the dirty-set
-    /// kernel is sequential).
-    pub threads: usize,
     /// Effective round budget (request clamped to
     /// [`Limits::max_rounds`]); a churn job's horizon.
     pub rounds: usize,
@@ -418,7 +411,8 @@ impl JobSpec {
             }
         };
         let seed = opt_u64("seed")?.unwrap_or(DEFAULT_SEED);
-        let threads = (opt_u64("threads")?.unwrap_or(1) as usize).clamp(1, limits.max_threads);
+        // Accepted for wire compatibility, validated, then ignored.
+        opt_u64("threads")?;
         let rounds = (opt_u64("rounds")?.unwrap_or(limits.max_rounds as u64) as usize)
             .clamp(1, limits.max_rounds);
         let fixpoint = opt_bool("fixpoint")?.unwrap_or(true);
@@ -475,7 +469,6 @@ impl JobSpec {
             proto,
             graph,
             seed,
-            threads,
             rounds,
             fixpoint,
             wall_ms,
@@ -502,7 +495,6 @@ mod tests {
         assert_eq!(spec.proto, Proto::Census);
         assert_eq!(spec.graph.nodes(), 64);
         assert_eq!(spec.seed, DEFAULT_SEED);
-        assert_eq!(spec.threads, 1);
         assert_eq!(spec.rounds, Limits::default().max_rounds);
         assert!(spec.fixpoint && spec.stream);
         assert_eq!(spec.wall_ms, Limits::default().max_wall_ms);
@@ -515,7 +507,6 @@ mod tests {
             max_nodes: 100,
             max_rounds: 50,
             max_wall_ms: 1_000,
-            max_threads: 2,
         };
         let v = Json::parse(
             r#"{"proto":"census","graph":{"gen":"path","n":10},
@@ -524,8 +515,8 @@ mod tests {
         .unwrap();
         let spec = JobSpec::parse(&v, &limits).unwrap();
         assert_eq!(
-            (spec.rounds, spec.wall_ms, spec.threads),
-            (50, 1_000, 2),
+            (spec.rounds, spec.wall_ms),
+            (50, 1_000),
             "over-asks clamp to server maxima"
         );
         let big = Json::parse(r#"{"proto":"census","graph":{"gen":"torus","rows":64,"cols":64}}"#)
@@ -568,6 +559,10 @@ mod tests {
             ),
             (
                 r#"{"proto":"census","graph":{"gen":"path","n":4},"churn":{}}"#,
+                codes::BAD_REQUEST,
+            ),
+            (
+                r#"{"proto":"census","graph":{"gen":"path","n":4},"threads":"two"}"#,
                 codes::BAD_REQUEST,
             ),
         ];

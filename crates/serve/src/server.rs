@@ -299,7 +299,6 @@ fn handle_job(mut stream: TcpStream, ctx: &Arc<Ctx>, v: &Json) -> io::Result<()>
             ("queue", json::nu(depth as u64)),
             ("rounds", json::nu(spec.rounds as u64)),
             ("wall_ms", json::nu(spec.wall_ms)),
-            ("threads", json::nu(spec.threads as u64)),
         ]),
     )?;
     writer_loop(stream, rx, &cancel)

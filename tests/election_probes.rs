@@ -4,14 +4,17 @@
 //! behaviour of our implementation at the boundary (loose assertions:
 //! liveness of the machinery, not claims the paper doesn't make).
 
+use fssga::engine::Sensitive;
 use fssga::graph::generators;
 use fssga::graph::rng::Xoshiro256;
 use fssga::protocols::election::{ElectState, ElectionHarness};
+use fssga::protocols::traversal::TStatus;
 
 #[test]
 fn election_survives_noncandidate_faults() {
-    // Kill two nodes mid-election (never a remaining candidate, never
-    // disconnecting): the rest still elects a unique leader.
+    // Kill two nodes mid-election, each outside the declared critical set
+    // at its kill and never disconnecting — Section 2's benign faults:
+    // the rest still elects a unique leader.
     let mut elected = 0;
     let trials = 6;
     for i in 0..trials {
@@ -31,8 +34,9 @@ fn election_survives_noncandidate_faults() {
                 break;
             }
             let v = rng.gen_index(16) as u32;
+            let critical = h.critical_set();
             let net = h.network_mut();
-            if !net.state(v).remain && net.graph().is_alive(v) {
+            if !critical.contains(&v) && net.graph().is_alive(v) {
                 let mut probe = net.graph().clone();
                 probe.remove_node(v);
                 if probe.is_connected() {
@@ -46,9 +50,9 @@ fn election_survives_noncandidate_faults() {
             elected += 1;
         }
     }
-    assert!(
-        elected >= trials - 1,
-        "elections under non-candidate faults: {elected}/{trials}"
+    assert_eq!(
+        elected, trials,
+        "elections under non-critical faults: {elected}/{trials}"
     );
 }
 
@@ -73,6 +77,42 @@ fn killing_every_candidate_stalls_without_crashing() {
     }
     let run = h.run(20_000, &mut rng);
     assert!(run.leader.is_none(), "no candidate can win from the grave");
+}
+
+#[test]
+fn killing_an_arm_node_stalls_without_crashing() {
+    // An arm node links the Milgram agent back to its candidate. Cut that
+    // path (without disconnecting the graph) at the wrong moment and the
+    // agent never returns, so the candidate never declares; the network
+    // must stay live. Replays the run to each round in turn and kills
+    // each non-candidate arm node there until one kill stalls it.
+    let g = generators::connected_gnp(16, 0.3, &mut Xoshiro256::seed_from_u64(5000));
+    let after = |t: u64| {
+        let mut h = ElectionHarness::new(&g);
+        let mut rng = Xoshiro256::seed_from_u64(5001);
+        for _ in 0..t {
+            h.network_mut().sync_step(&mut rng);
+        }
+        (h, rng)
+    };
+    let stalled = (0..400).any(|t| {
+        let (mut h, _) = after(t);
+        let net = h.network_mut();
+        let arms: Vec<u32> = (0..16u32)
+            .filter(|&v| {
+                let s = net.state(v);
+                let mut probe = net.graph().clone();
+                probe.remove_node(v);
+                s.trav.status == TStatus::Arm && !s.remain && probe.is_connected()
+            })
+            .collect();
+        arms.into_iter().any(|v| {
+            let (mut h, mut rng) = after(t);
+            h.network_mut().remove_node(v);
+            h.run(20_000, &mut rng).leader.is_none()
+        })
+    });
+    assert!(stalled, "no arm-node kill stalled the election");
 }
 
 #[test]

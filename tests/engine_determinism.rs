@@ -1,10 +1,10 @@
-//! Tier-1 engine determinism suite: the sharded kernel at any thread
-//! count must be bit-identical to the single-threaded interpreter.
+//! Tier-1 engine determinism suite: the compiled kernel must be
+//! bit-identical to the interpreter, round by round.
 //!
 //! This is the promoted form of the old proptest-only
 //! `parallel_equals_sequential` property — it runs in every offline
-//! tier-1 build, with no optional features, over a fixed grid of seeds,
-//! graph sizes, and thread counts.
+//! tier-1 build, with no optional features, over a fixed grid of seeds
+//! and graph sizes.
 
 use fssga::engine::{Budget, Engine, NeighborView, Network, Protocol, Runner, StateSpace};
 use fssga::graph::rng::Xoshiro256;
@@ -47,64 +47,56 @@ impl Protocol for Mixer {
     }
 }
 
-/// Steps an interpreter network and a sharded-kernel network at
-/// `threads` threads in lockstep, one [`Runner`] round at a time from
-/// equally seeded generators, asserting equal states every round.
-fn assert_lockstep<P, F>(
-    protocol: P,
-    init: F,
-    n: usize,
-    p: f64,
-    gseed: u64,
-    threads: usize,
-    rounds: u32,
-) where
+/// Steps an interpreter network and a kernel network in lockstep, one
+/// [`Runner`] round at a time from equally seeded generators, asserting
+/// equal states every round.
+fn assert_lockstep<P, F>(protocol: P, init: F, n: usize, p: f64, gseed: u64, rounds: u32)
+where
     P: Protocol + Copy,
     F: Fn(u32) -> P::State + Copy,
 {
     let g = generators::connected_gnp(n, p, &mut Xoshiro256::seed_from_u64(gseed));
-    let mut seq_net = Network::new(&g, protocol, init);
-    let mut par_net = Network::new(&g, protocol, init);
+    let mut interp_net = Network::new(&g, protocol, init);
+    let mut kernel_net = Network::new(&g, protocol, init);
     let mut r1 = Xoshiro256::seed_from_u64(gseed ^ 0xABCD);
     let mut r2 = Xoshiro256::seed_from_u64(gseed ^ 0xABCD);
     for round in 0..rounds {
-        seq_net.sync_step(&mut r1);
-        Runner::new(&mut par_net)
+        interp_net.sync_step(&mut r1);
+        Runner::new(&mut kernel_net)
             .engine(Engine::Kernel)
-            .threads(threads)
             .budget(Budget::Rounds(1))
             .rng(&mut r2)
             .run();
         assert_eq!(
-            seq_net.states(),
-            par_net.states(),
-            "n={n} gseed={gseed} threads={threads} round={round}"
+            interp_net.states(),
+            kernel_net.states(),
+            "n={n} gseed={gseed} round={round}"
         );
     }
 }
 
-/// Grid of seeds × sizes × thread counts on the count-hashing Mixer.
+/// Grid of seeds × sizes on the count-hashing Mixer.
 #[test]
 fn parallel_equals_sequential_mixer() {
     let init = |v: u32| S4::from_index((v as usize * 13 + 5) % 4);
-    for (gseed, n, threads) in [
-        (1u64, 300usize, 2usize),
-        (2, 333, 3),
-        (3, 366, 4),
-        (5, 400, 5),
-        (8, 433, 6),
-        (13, 466, 7),
-        (21, 499, 8),
+    for (gseed, n) in [
+        (1u64, 300usize),
+        (2, 333),
+        (3, 366),
+        (5, 400),
+        (8, 433),
+        (13, 466),
+        (21, 499),
     ] {
-        assert_lockstep(Mixer, init, n, 0.02, gseed, threads, 4);
+        assert_lockstep(Mixer, init, n, 0.02, gseed, 4);
     }
 }
 
 /// Runs `rounds` synchronous rounds of identically-built networks through
-/// three entry points — the default [`Runner`], a 3-thread
-/// [`Runner::threads`] run on the sharded kernel, and the single-threaded
-/// interpreter — and asserts all three report the same change count and
-/// end in the same states.
+/// three entry points — the default [`Runner`], a forced
+/// [`Engine::Kernel`] run, and a forced [`Engine::Interpreter`] run — and
+/// asserts all three report the same change count and end in the same
+/// states.
 fn changes_parity<P: Protocol>(
     build: &dyn Fn() -> Network<P>,
     rounds: usize,
@@ -119,13 +111,12 @@ fn changes_parity<P: Protocol>(
         .run()
         .changes;
 
-    let mut par = build();
+    let mut kern = build();
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    let parallel = Runner::new(&mut par)
+    let kernel = Runner::new(&mut kern)
         .engine(Engine::Kernel)
         .budget(Budget::Rounds(rounds))
         .rng(&mut rng)
-        .threads(3)
         .run()
         .changes;
 
@@ -138,19 +129,12 @@ fn changes_parity<P: Protocol>(
         .run()
         .changes;
 
-    assert_eq!(
-        sequential, parallel,
-        "{ctx}: sequential vs parallel changes"
-    );
+    assert_eq!(sequential, kernel, "{ctx}: default vs kernel changes");
     assert_eq!(
         sequential, interpreted,
-        "{ctx}: sequential vs interpreter changes"
+        "{ctx}: default vs interpreter changes"
     );
-    assert_eq!(
-        seq.states(),
-        par.states(),
-        "{ctx}: parallel states diverged"
-    );
+    assert_eq!(seq.states(), kern.states(), "{ctx}: kernel states diverged");
     assert_eq!(
         seq.states(),
         interp.states(),
@@ -158,10 +142,8 @@ fn changes_parity<P: Protocol>(
     );
 }
 
-/// `RunReport::changes` parity across the default runner, the sharded
-/// kernel, and the interpreter, for every protocol in the workspace (the
-/// graph is large enough that the first sharded rounds really wake the
-/// pool instead of evaluating inline).
+/// `RunReport::changes` parity across the default runner, the kernel,
+/// and the interpreter, for every protocol in the workspace.
 #[test]
 fn change_counts_agree_across_entry_points() {
     let g = generators::connected_gnp(300, 0.02, &mut Xoshiro256::seed_from_u64(0xD15C));
@@ -257,22 +239,12 @@ fn change_counts_agree_across_entry_points() {
     );
 }
 
-/// Same grid on the randomized-coin path with odd thread counts that do
-/// not divide the node count (stresses shard-boundary handling). 257 is
-/// prime and just above the 256-node worklist below which a kernel round
-/// evaluates inline, so every round really shards.
+/// Denser graphs on the randomized-coin path: a prime node count and
+/// five graph seeds.
 #[test]
 fn parallel_equals_sequential_ragged_chunks() {
     let init = |v: u32| S4::from_index(v as usize % 4);
-    for threads in [2usize, 3, 5, 7, 11] {
-        assert_lockstep(
-            Mixer,
-            init,
-            257,
-            0.06,
-            0xC0FFEE ^ threads as u64,
-            threads,
-            5,
-        );
+    for salt in [2u64, 3, 5, 7, 11] {
+        assert_lockstep(Mixer, init, 257, 0.06, 0xC0FFEE ^ salt, 5);
     }
 }

@@ -5,7 +5,7 @@
 //! build does not have; see the root `Cargo.toml`). Deterministic
 //! equivalents driven by the in-house seeded RNG always run, so the
 //! properties themselves are covered offline. The flagship
-//! sharded-vs-sequential determinism property lives in its own tier-1
+//! kernel-vs-interpreter determinism property lives in its own tier-1
 //! suite, `tests/engine_determinism.rs`.
 
 use fssga::engine::{Budget, Engine, NeighborView, Network, Protocol, Runner, StateSpace};
@@ -99,12 +99,11 @@ fn replay_determinism_deterministic() {
     }
 }
 
-/// One sharded-kernel round at `threads` threads, drawing its round seed
-/// from `rng` exactly as [`Network::sync_step`] does.
-fn sharded_step<P: Protocol>(net: &mut Network<P>, rng: &mut Xoshiro256, threads: usize) {
+/// One kernel round, drawing its round seed from `rng` exactly as
+/// [`Network::sync_step`] does.
+fn kernel_step<P: Protocol>(net: &mut Network<P>, rng: &mut Xoshiro256) {
     Runner::new(net)
         .engine(Engine::Kernel)
-        .threads(threads)
         .budget(Budget::Rounds(1))
         .rng(rng)
         .run();
@@ -112,20 +111,20 @@ fn sharded_step<P: Protocol>(net: &mut Network<P>, rng: &mut Xoshiro256, threads
 
 #[test]
 fn parallel_stepping_handles_huge_alphabets() {
-    // The election automaton has ~69k states; the sharded kernel's
-    // per-shard buffers and presence lists must agree with the
-    // interpreter bit-for-bit even there.
+    // The election automaton has ~69k states; the kernel's gather
+    // buffers and presence lists must agree with the interpreter
+    // bit-for-bit even there.
     use fssga::protocols::election::{ElectState, Election};
     let mut rng = Xoshiro256::seed_from_u64(424242);
     let g = generators::connected_gnp(400, 0.015, &mut rng);
-    let mut seq_net = Network::new(&g, Election, |_| ElectState::init());
-    let mut par_net = Network::new(&g, Election, |_| ElectState::init());
+    let mut interp_net = Network::new(&g, Election, |_| ElectState::init());
+    let mut kernel_net = Network::new(&g, Election, |_| ElectState::init());
     let mut r1 = Xoshiro256::seed_from_u64(7);
     let mut r2 = Xoshiro256::seed_from_u64(7);
     for round in 0..40 {
-        seq_net.sync_step(&mut r1);
-        sharded_step(&mut par_net, &mut r2, 6);
-        assert_eq!(seq_net.states(), par_net.states(), "round {round}");
+        interp_net.sync_step(&mut r1);
+        kernel_step(&mut kernel_net, &mut r2);
+        assert_eq!(interp_net.states(), kernel_net.states(), "round {round}");
     }
 }
 
@@ -139,10 +138,10 @@ mod proptest_suite {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The sharded kernel and the sequential interpreter agree
-        /// bit-for-bit on random graphs, seeds, and thread counts.
+        /// The kernel and the interpreter agree bit-for-bit on random
+        /// graphs and seeds.
         #[test]
-        fn parallel_equals_sequential(seed in 0u64..1000, n in 300usize..500, threads in 2usize..9) {
+        fn parallel_equals_sequential(seed in 0u64..1000, n in 300usize..500) {
             let mut rng = Xoshiro256::seed_from_u64(seed);
             let g = generators::connected_gnp(n, 0.02, &mut rng);
             let init = |v: u32| S4::from_index((v as usize * 13 + 5) % 4);
@@ -152,7 +151,7 @@ mod proptest_suite {
             let mut rb = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..4 {
                 a.sync_step(&mut ra);
-                sharded_step(&mut b, &mut rb, threads);
+                kernel_step(&mut b, &mut rb);
                 prop_assert_eq!(a.states(), b.states());
             }
         }

@@ -1,13 +1,17 @@
 //! Cross-engine equivalence: the compiled kernel (dense tables, CSR
-//! adjacency, dirty-set scheduling, optional parallel rounds) must be
-//! bit-identical to the interpreter — same states after every round, the
-//! same change counts, and the same per-round metrics on the
-//! engine-invariant projection — for every protocol in the workspace, on
-//! path / star / Erdős–Rényi / torus topologies, with and without
-//! mid-run faults and interpreter interleaving.
+//! adjacency, dirty-set scheduling) must be bit-identical to the
+//! interpreter — same states after every round, the same change counts,
+//! and the same per-round metrics on the engine-invariant projection —
+//! for every protocol in the workspace, on path / star / Erdős–Rényi /
+//! torus / power-law topologies (two of them above 256 nodes), with and
+//! without mid-run faults, interpreter interleaving, and fault plans
+//! replayed from a text-round-tripped [`CampaignTrace`].
 
 use fssga::engine::rng::Xoshiro256;
-use fssga::engine::{Budget, Engine, Network, Policy, Protocol, RoundLog, Runner};
+use fssga::engine::{
+    Budget, Campaign, CampaignTrace, Engine, FaultEvent, FaultKind, FaultPlan, Network, Policy,
+    Protocol, RoundLog, Runner,
+};
 use fssga::graph::{generators, Graph, NodeId};
 use fssga::protocols::bfs::{Bfs, BfsState};
 use fssga::protocols::census::{Census, FmSketch};
@@ -20,8 +24,8 @@ use fssga::protocols::synchronizer::alpha_network;
 use fssga::protocols::traversal::{TravState, Traversal};
 use fssga::protocols::two_coloring::TwoColoring;
 
-/// The four benchmark topologies of the acceptance criteria.
-fn graphs() -> Vec<(&'static str, Graph)> {
+/// Small topologies of every shape.
+fn small_graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256::seed_from_u64(0xEC);
     vec![
         ("path", generators::path(40)),
@@ -29,6 +33,25 @@ fn graphs() -> Vec<(&'static str, Graph)> {
         ("er", generators::connected_gnp(48, 0.12, &mut rng)),
         ("torus", generators::torus(8, 8)),
     ]
+}
+
+/// Two topologies above 256 nodes: a torus and the degree-skewed
+/// power-law graph, whose hub rows take the kernel's dense-tally path.
+fn large_graphs() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("torus-18", generators::torus(18, 18)),
+        (
+            "powerlaw",
+            generators::preferential_attachment(400, 3, &mut Xoshiro256::seed_from_u64(0x5A)),
+        ),
+    ]
+}
+
+/// Every topology, small and large.
+fn graphs() -> Vec<(&'static str, Graph)> {
+    let mut all = small_graphs();
+    all.extend(large_graphs());
+    all
 }
 
 /// Steps `a` on the interpreter and `b` on the kernel, one synchronous
@@ -113,10 +136,10 @@ fn lockstep<P: Protocol>(
     }
 }
 
-/// Runs each protocol on each topology and checks per-round equivalence.
-#[test]
-fn all_protocols_agree_on_all_topologies() {
-    for (gname, g) in graphs() {
+/// Runs each protocol on each of `graphs` and checks per-round
+/// equivalence.
+fn all_protocols_agree_on(graphs: Vec<(&'static str, Graph)>) {
+    for (gname, g) in graphs {
         let n = g.n();
         let last = (n - 1) as NodeId;
         let mut rng = Xoshiro256::seed_from_u64(7);
@@ -190,6 +213,18 @@ fn all_protocols_agree_on_all_topologies() {
     }
 }
 
+/// Every protocol agrees across engines on the small topologies.
+#[test]
+fn all_protocols_agree_on_all_topologies() {
+    all_protocols_agree_on(small_graphs());
+}
+
+/// Every protocol agrees across engines above 256 nodes.
+#[test]
+fn all_protocols_agree_above_256_nodes() {
+    all_protocols_agree_on(large_graphs());
+}
+
 /// Benign faults mid-run: the kernel's CSR mirror and dirty-set
 /// bookkeeping must track edge and node removals exactly.
 #[test]
@@ -258,34 +293,95 @@ fn async_then_kernel_sync_matches_pure_interpreter() {
     }
 }
 
-/// Synchronous rounds are bit-identical for any thread count, on both
-/// engines (the interpreter ignores the thread count; the kernel shards).
+/// A multi-round [`Runner`] run lands in the same states and change
+/// count on both engines.
 #[test]
 fn parallel_rounds_are_bit_identical() {
     for (gname, g) in graphs() {
-        for engine in [Engine::Interpreter, Engine::Kernel] {
-            let build = || Network::new(&g, Traversal, |v| TravState::init(v == 0));
-            let mut seq = build();
-            Runner::new(&mut seq)
+        let run = |engine| {
+            let mut net = Network::new(&g, Traversal, |v| TravState::init(v == 0));
+            Runner::new(&mut net)
                 .engine(engine)
                 .budget(Budget::Rounds(10))
                 .seed(5)
                 .run();
-            for threads in [2usize, 3, 8] {
-                let mut par = build();
-                Runner::new(&mut par)
-                    .engine(engine)
-                    .budget(Budget::Rounds(10))
-                    .seed(5)
-                    .threads(threads)
-                    .run();
-                assert_eq!(
-                    seq.states(),
-                    par.states(),
-                    "{gname}: {engine:?} with {threads} threads diverged"
-                );
-                assert_eq!(seq.metrics.changes, par.metrics.changes, "{gname}");
-            }
-        }
+            (net.states().to_vec(), net.metrics.changes)
+        };
+        assert_eq!(
+            run(Engine::Interpreter),
+            run(Engine::Kernel),
+            "{gname}: engines diverged"
+        );
     }
+}
+
+/// Fault plans replay identically on both engines: a schedule recorded
+/// by a [`Campaign`], round-tripped through the [`CampaignTrace`] text
+/// format, is replayed tick by tick — faults fire, then one round runs —
+/// and the interpreter and the kernel land in the same states.
+#[test]
+fn campaign_fault_plans_replay_identically_on_both_engines() {
+    let g = generators::torus(18, 18);
+    let mut rng = Xoshiro256::seed_from_u64(0xFA);
+    let sketches: Vec<FmSketch<8>> = (0..g.n())
+        .map(|_| FmSketch::random_init(&mut rng))
+        .collect();
+    let plan = FaultPlan::new(vec![
+        FaultEvent {
+            time: 2,
+            kind: FaultKind::Edge(17, 18),
+        },
+        FaultEvent {
+            time: 5,
+            kind: FaultKind::Node(41),
+        },
+        FaultEvent {
+            time: 8,
+            kind: FaultKind::Edge(100, 101),
+        },
+    ]);
+    // The campaign records which faults actually applied; the () oracle
+    // keeps the run trivially conclusive — only the schedule matters here.
+    let campaign = Campaign::new(
+        &g,
+        || Census::<8>,
+        |v| sketches[v as usize],
+        |_: &Network<Census<8>>| Some(()),
+        |_: &Graph| (),
+    )
+    .horizon(12)
+    .seed(3)
+    .plan(plan);
+    let recorded = campaign.run().trace;
+    let trace = CampaignTrace::from_text(&recorded.to_text()).expect("trace round-trips");
+    assert_eq!(trace, recorded);
+    assert!(!trace.schedule.is_empty(), "plan must actually apply");
+
+    let run = |engine| {
+        let mut net = Network::new(&g, Census::<8>, |v| sketches[v as usize]);
+        let mut cursor = 0;
+        for tick in 0..trace.horizon {
+            while cursor < trace.schedule.len() && trace.schedule[cursor].time <= tick {
+                match trace.schedule[cursor].kind {
+                    FaultKind::Edge(u, v) => net.remove_edge(u, v),
+                    FaultKind::Node(v) => net.remove_node(v),
+                    FaultKind::AddNode(_) | FaultKind::AddEdge(_, _) => {
+                        unreachable!("removal-only plan")
+                    }
+                };
+                cursor += 1;
+            }
+            Runner::new(&mut net)
+                .engine(engine)
+                .budget(Budget::Rounds(1))
+                .seed(1000 + tick)
+                .run();
+        }
+        (net.states().to_vec(), net.metrics.changes)
+    };
+    assert_eq!(
+        run(Engine::Interpreter),
+        run(Engine::Kernel),
+        "fault-plan replay diverged"
+    );
 }

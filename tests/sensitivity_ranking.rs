@@ -11,24 +11,138 @@
 //!
 //! * census, shortest paths, α synchronizer — 0-sensitive;
 //! * greedy tourist, bridge walk — 1-sensitive;
-//! * β synchronizer — Θ(n)-sensitive (every interior tree node).
+//! * random walk — 2-sensitive (the walker, plus the lone `Tails`
+//!   neighbour during a hand-over);
+//! * β synchronizer, leader election — Θ(n)-sensitive.
 
 use fssga::engine::faults::{FaultEvent, FaultKind};
 use fssga::engine::sensitivity::{
-    reasonably_correct, sweep_single_faults, Sensitive, SensitivityClass, Verdict,
+    reasonably_correct, sweep_single_faults, Sensitive, SensitivityClass, SensitivityReport,
+    Verdict,
 };
-use fssga::engine::{AsyncPolicy, Budget, Campaign, Network, Policy, RunPolicy, Runner};
+use fssga::engine::{AsyncPolicy, Budget, Campaign, Network, Policy, Protocol, RunPolicy, Runner};
 use fssga::graph::rng::Xoshiro256;
 use fssga::graph::{exact, generators, DynGraph, Graph, NodeId};
 use fssga::protocols::bridges::BridgeWalk;
 use fssga::protocols::census::{Census, FmSketch};
+use fssga::protocols::election::ElectionHarness;
 use fssga::protocols::greedy_tourist::GreedyTourist;
+use fssga::protocols::random_walk::WalkHarness;
 use fssga::protocols::shortest_paths::{labels_as_distances, ShortestPaths};
 use fssga::protocols::synchronizer::{alpha_network, BetaSynchronizer};
+use fssga::protocols::traversal::TStatus;
 use fssga::protocols::two_coloring::TwoColoring;
 
 fn all_node_kills(n: usize) -> Vec<FaultKind> {
     (0..n as NodeId).map(FaultKind::Node).collect()
+}
+
+/// The lone node kills that leave `g` connected — the benign faults of
+/// Section 2's definition.
+fn benign_node_kills(g: &Graph) -> Vec<FaultKind> {
+    (0..g.n() as NodeId)
+        .filter(|&v| {
+            let mut d = DynGraph::from_graph(g);
+            d.remove_node(v);
+            d.is_connected()
+        })
+        .map(FaultKind::Node)
+        .collect()
+}
+
+/// `h` after `t` fault-free synchronous rounds from `seed`, and the
+/// generator as it stands after them.
+fn after<H, P: Protocol>(
+    mut h: H,
+    net: fn(&mut H) -> &mut Network<P>,
+    seed: u64,
+    t: u64,
+) -> (H, Xoshiro256) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    for _ in 0..t {
+        net(&mut h).sync_step(&mut rng);
+    }
+    (h, rng)
+}
+
+fn election_after(g: &Graph, seed: u64, t: u64) -> (ElectionHarness, Xoshiro256) {
+    after(
+        ElectionHarness::new(g),
+        ElectionHarness::network_mut,
+        seed,
+        t,
+    )
+}
+
+fn walk_after(g: &Graph, seed: u64, t: u64) -> (WalkHarness, Xoshiro256) {
+    after(WalkHarness::new(g, 0), WalkHarness::network_mut, seed, t)
+}
+
+/// Sweeps every benign lone kill at every round of a fault-free walk of
+/// `moves` moves on `g` (hand-overs last one round, so every instant
+/// counts). A probe is reasonably correct if exactly one live walker
+/// remains every round and it makes `moves` more moves within four times
+/// the fault-free round count.
+fn walk_sweep(g: &Graph, seed: u64, moves: usize) -> SensitivityReport {
+    let (mut h, mut rng) = walk_after(g, seed, 0);
+    let fault_free = h.run(moves, 1_000_000, &mut rng);
+    assert_eq!(fault_free.rounds_per_move.len(), moves);
+    let rounds: u64 = fault_free.rounds_per_move.iter().map(|&r| r as u64).sum();
+    let times: Vec<u64> = (0..rounds).collect();
+    sweep_single_faults(&benign_node_kills(g), &times, |schedule| {
+        let FaultKind::Node(v) = schedule[0].kind else {
+            unreachable!("node kills only")
+        };
+        let (mut h, mut rng) = walk_after(g, seed, schedule[0].time);
+        let net = h.network_mut();
+        net.remove_node(v);
+        let mut position = None;
+        let mut moved = 0;
+        for _ in 0..4 * rounds {
+            net.sync_step(&mut rng);
+            let walkers: Vec<NodeId> = net
+                .graph()
+                .alive_nodes()
+                .filter(|&w| net.state(w).is_walker())
+                .collect();
+            let [walker] = walkers[..] else {
+                return Verdict::Incorrect;
+            };
+            if position.is_some_and(|p| p != walker) {
+                moved += 1;
+                if moved == moves {
+                    return Verdict::ReasonablyCorrect;
+                }
+            }
+            position = Some(walker);
+        }
+        Verdict::Incorrect
+    })
+}
+
+/// Sweeps every benign lone kill at seven instants of a fault-free
+/// election on `g`. A probe is reasonably correct if the survivors elect
+/// a live leader within four times the fault-free round count.
+fn election_sweep(g: &Graph, seed: u64) -> SensitivityReport {
+    let (mut h, mut rng) = election_after(g, seed, 0);
+    let fault_free = h.run(2_000_000, &mut rng);
+    assert!(
+        fault_free.leader.is_some(),
+        "fault-free election must elect"
+    );
+    let rounds = fault_free.rounds;
+    let times: Vec<u64> = (1..8).map(|k| k * rounds / 8).collect();
+    sweep_single_faults(&benign_node_kills(g), &times, |schedule| {
+        let FaultKind::Node(v) = schedule[0].kind else {
+            unreachable!("node kills only")
+        };
+        let (mut h, mut rng) = election_after(g, seed, schedule[0].time);
+        h.network_mut().remove_node(v);
+        match h.run(4 * rounds, &mut rng).leader {
+            Some(leader) if leader != v => Verdict::ReasonablyCorrect,
+            _ => Verdict::Incorrect,
+        }
+    })
 }
 
 #[test]
@@ -294,6 +408,78 @@ fn beta_synchronizer_is_linearly_critical() {
         report.uncovered_by(|_| declared.critical_set()).is_empty(),
         "declared interior set must cover every observed breakage"
     );
+}
+
+#[test]
+fn election_critical_set_covers_every_breaking_kill() {
+    // Beyond the candidates, the Milgram agent's hand, its arm and the
+    // hand's tournament participants are critical. Each of the last two
+    // terms is load-bearing: the sweep finds breaking kills that only it
+    // covers.
+    let (mut arm_only, mut participant_only) = (0, 0);
+    for gseed in 5000u64..5008 {
+        let g = generators::connected_gnp(12, 0.35, &mut Xoshiro256::seed_from_u64(gseed));
+        let seed = gseed ^ 0xE1EC;
+        let report = election_sweep(&g, seed);
+        let critical_at = |t: u64| election_after(&g, seed, t).0.critical_set();
+        assert_eq!(
+            report.uncovered_by(critical_at),
+            vec![],
+            "graph seed {gseed}: breaking kills outside the declared critical set"
+        );
+        let candidates_and_hand = |t: u64| {
+            let (mut h, _) = election_after(&g, seed, t);
+            let net = h.network_mut();
+            (0..g.n() as NodeId)
+                .filter(|&v| {
+                    let s = net.state(v);
+                    s.remain || s.leader || s.trav.is_hand()
+                })
+                .collect()
+        };
+        for (t, v) in report.uncovered_by(candidates_and_hand) {
+            match election_after(&g, seed, t)
+                .0
+                .network_mut()
+                .state(v)
+                .trav
+                .status
+            {
+                TStatus::Arm => arm_only += 1,
+                TStatus::Blank(_) => participant_only += 1,
+                other => panic!("graph seed {gseed}: kill of {v} at {t} in {other:?}"),
+            }
+        }
+    }
+    assert!(arm_only > 0, "no breaking kill needs the arm term");
+    assert!(
+        participant_only > 0,
+        "no breaking kill needs the participant term"
+    );
+    assert_eq!(
+        ElectionHarness::new(&generators::cycle(5)).sensitivity_class(),
+        SensitivityClass::Linear
+    );
+}
+
+#[test]
+fn random_walk_critical_set_covers_every_breaking_kill() {
+    for gseed in 600u64..604 {
+        let g = generators::cycle_with_chords(10, 2, &mut Xoshiro256::seed_from_u64(gseed));
+        let seed = gseed ^ 0x3A1C;
+        let report = walk_sweep(&g, seed, 12);
+        assert!(
+            report.harmful().count() > 0,
+            "killing the walker must break the walk"
+        );
+        let critical_at = |t: u64| walk_after(&g, seed, t).0.critical_set();
+        assert_eq!(
+            report.uncovered_by(critical_at),
+            vec![],
+            "graph seed {gseed}: breaking kills outside the declared critical set"
+        );
+        assert!(report.empirical_sensitivity() <= 2);
+    }
 }
 
 #[test]
